@@ -32,9 +32,9 @@
 //! default: 25 — loose because sub-ns ops sit inside timer noise). The
 //! enabled `Span::<MonotonicClock>` cost is reported for context.
 
-use dtn_epidemic::{protocols, simulate_probed, AuditMode, AuditProbe, CountingProbe, Workload};
-use dtn_experiments::{point_sim_config, Mobility, SweepConfig, TraceCache};
-use dtn_sim::{AtomicHistogram, Clock, MonotonicClock, NullClock, SimRng, Span, Threads};
+use dtn_epidemic::{protocols, CountingProbe};
+use dtn_experiments::{run_point, run_point_checked_cached, Mobility, SweepConfig, TraceCache};
+use dtn_sim::{AtomicHistogram, Clock, MonotonicClock, NullClock, Span, Threads};
 use std::time::Instant;
 
 const LOADS: [u32; 5] = [10, 20, 30, 40, 50];
@@ -79,10 +79,14 @@ fn timed_pass(cfg: &SweepConfig, cache: &TraceCache) -> (u64, f64) {
     for mobility in MOBILITIES {
         for protocol in &protocols {
             for &load in &cfg.loads {
-                let metrics =
-                    dtn_experiments::run_point_raw_cached(protocol, mobility, load, cfg, cache);
-                contacts += metrics.iter().map(|m| m.contacts_processed).sum::<u64>();
-                std::hint::black_box(dtn_experiments::aggregate_point(load, &metrics));
+                let results = run_point_checked_cached(protocol, mobility, load, cfg, cache);
+                for r in &results {
+                    contacts += r
+                        .as_ref()
+                        .expect("bench replication failed")
+                        .contacts_processed;
+                }
+                std::hint::black_box(dtn_experiments::aggregate_point_checked(load, &results));
             }
         }
     }
@@ -98,16 +102,11 @@ fn counting_pass(cfg: &SweepConfig, cache: &TraceCache) -> (u64, u64, f64) {
     for mobility in MOBILITIES {
         for protocol in &protocols {
             for &load in &cfg.loads {
-                let sim_config = point_sim_config(protocol, mobility, cfg);
-                let root = SimRng::new(cfg.base_seed ^ (load as u64) << 32);
-                for rep in 0..cfg.replications as u64 {
-                    let mut wl_rng = root.derive(rep * 2 + 1);
-                    let sim_rng = root.derive(rep * 2);
-                    let trace = mobility.build_cached(cfg.base_seed, rep, cache);
-                    let workload =
-                        Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-                    let mut probe = CountingProbe::default();
-                    let m = simulate_probed(&trace, &workload, &sim_config, sim_rng, &mut probe);
+                let counted = run_point(protocol, mobility, load, cfg, cache, |_| {
+                    CountingProbe::default()
+                });
+                for outcome in counted {
+                    let (m, probe) = outcome.value().expect("bench replication failed");
                     contacts += m.contacts_processed;
                     events += probe.events;
                 }
@@ -127,21 +126,9 @@ fn audited_pass(cfg: &SweepConfig, cache: &TraceCache) -> (u64, u64, f64) {
     for mobility in MOBILITIES {
         for protocol in &protocols {
             for &load in &cfg.loads {
-                let sim_config = point_sim_config(protocol, mobility, cfg);
-                let root = SimRng::new(cfg.base_seed ^ (load as u64) << 32);
-                for rep in 0..cfg.replications as u64 {
-                    let mut wl_rng = root.derive(rep * 2 + 1);
-                    let sim_rng = root.derive(rep * 2);
-                    let trace = mobility.build_cached(cfg.base_seed, rep, cache);
-                    let workload =
-                        Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-                    let mut probe = AuditProbe::new(
-                        &workload,
-                        &sim_config,
-                        trace.node_count(),
-                        AuditMode::Record,
-                    );
-                    let m = simulate_probed(&trace, &workload, &sim_config, sim_rng, &mut probe);
+                for outcome in run_point(protocol, mobility, load, cfg, cache, |r| r.audit_probe())
+                {
+                    let (m, probe) = outcome.value().expect("bench replication failed");
                     assert!(
                         probe.is_clean(),
                         "bench workload tripped the auditor: {:?}",

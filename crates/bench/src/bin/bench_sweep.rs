@@ -11,8 +11,10 @@
 //! alongside the legacy top-level counters it now carries per-sweep wall
 //! timings, per-point metric aggregates and delivery-delay histograms.
 
-use dtn_epidemic::protocols;
-use dtn_experiments::{aggregate_point, Mobility, SweepConfig, SweepReport, TraceCache};
+use dtn_epidemic::{protocols, ProtocolConfig, RunMetrics};
+use dtn_experiments::{
+    aggregate_point, run_point_checked_cached, Mobility, SweepConfig, SweepReport, TraceCache,
+};
 use dtn_sim::Threads;
 use std::time::Instant;
 
@@ -33,25 +35,39 @@ fn sweep_config() -> SweepConfig {
     }
 }
 
+/// Every replication's metrics at one point (a failed replication aborts
+/// the bench).
+fn run_point(
+    protocol: &ProtocolConfig,
+    mobility: Mobility,
+    load: u32,
+    cfg: &SweepConfig,
+    cache: &TraceCache,
+) -> Vec<RunMetrics> {
+    run_point_checked_cached(protocol, mobility, load, cfg, cache)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{} replication failed: {e}", protocol.name)))
+        .collect()
+}
+
 fn main() {
     let cfg = sweep_config();
     let protocols = protocols::all_protocols();
-    // `BENCH_UNCACHED=1` reproduces the pre-caching baseline: every
-    // replication regenerates its trace from scratch.
+    // `BENCH_UNCACHED=1` approximates the pre-caching baseline: no trace
+    // is shared between points, so every point regenerates its traces
+    // (the fixed trace dataset once per point, the other scenarios once
+    // per replication).
     let uncached = std::env::var_os("BENCH_UNCACHED").is_some();
 
     // One warm-up pass so one-time costs (page faults, lazy init) don't
     // skew the timed pass.
-    {
-        let cache = TraceCache::new();
-        let _ = dtn_experiments::run_point_raw_cached(
-            &protocols[0],
-            Mobility::Trace,
-            LOADS[0],
-            &cfg,
-            &cache,
-        );
-    }
+    let _ = run_point(
+        &protocols[0],
+        Mobility::Trace,
+        LOADS[0],
+        &cfg,
+        &TraceCache::new(),
+    );
 
     let bloom = protocols::bloom_protocols();
     let mut report = SweepReport::new(format!(
@@ -69,15 +85,18 @@ fn main() {
     // of one workload share a single trace cache — exactly how
     // `build_figure` wires it.
     let cache = TraceCache::new();
+    let point_cache = || {
+        if uncached {
+            TraceCache::new()
+        } else {
+            cache.clone()
+        }
+    };
     for mobility in MOBILITIES {
         for protocol in &protocols {
             let sweep_started = Instant::now();
             for &load in &cfg.loads {
-                let metrics = if uncached {
-                    dtn_experiments::run_point_raw(protocol, mobility, load, &cfg)
-                } else {
-                    dtn_experiments::run_point_raw_cached(protocol, mobility, load, &cfg, &cache)
-                };
+                let metrics = run_point(protocol, mobility, load, &cfg, &point_cache());
                 report.record_point(protocol.name, &mobility.label(), load, &metrics);
                 // Aggregation is part of the sweep path; include its cost.
                 std::hint::black_box(aggregate_point(load, &metrics));
@@ -100,11 +119,7 @@ fn main() {
         for protocol in &bloom {
             let sweep_started = Instant::now();
             for &load in &cfg.loads {
-                let metrics = if uncached {
-                    dtn_experiments::run_point_raw(protocol, mobility, load, &cfg)
-                } else {
-                    dtn_experiments::run_point_raw_cached(protocol, mobility, load, &cfg, &cache)
-                };
+                let metrics = run_point(protocol, mobility, load, &cfg, &point_cache());
                 report.record_point(protocol.name, &mobility.label(), load, &metrics);
                 std::hint::black_box(aggregate_point(load, &metrics));
             }

@@ -10,11 +10,16 @@
 //! regenerates all of them.
 
 use crate::output::TextTable;
-use crate::runner::{run_sweep, SweepConfig, SweepResult};
+use crate::runner::{
+    aggregate_point_checked, replication_streams, run_sweep, ReplicationPlan, SweepConfig,
+    SweepResult, Traces,
+};
 use crate::scenarios::Mobility;
-use dtn_epidemic::{protocols, EvictionPolicy, LifetimePolicy, ProtocolConfig};
-use dtn_mobility::TraceSummary;
-use dtn_sim::SimDuration;
+use dtn_epidemic::{
+    protocols, EvictionPolicy, LifetimePolicy, NullProbe, ProtocolConfig, RunMetrics, SimConfig,
+};
+use dtn_mobility::{TraceCache, TraceSummary};
+use dtn_sim::{SimDuration, SimRng, Watchdog};
 
 fn metric_row(label: String, sweep: &SweepResult) -> Vec<String> {
     let pct = |x: f64| format!("{:.1}", 100.0 * x);
@@ -219,24 +224,34 @@ pub fn mobility_table(cfg: &SweepConfig) -> TextTable {
 /// carries).
 pub fn loss_table(cfg: &SweepConfig) -> TextTable {
     let mut rows = Vec::new();
+    let cache = TraceCache::new();
     for loss in [0.0, 0.1, 0.25, 0.5, 0.75] {
-        let mut runs = Vec::new();
-        for rep in 0..cfg.replications as u64 {
-            let trace = Mobility::Trace.build(cfg.base_seed, rep);
-            let root = dtn_sim::SimRng::new(cfg.base_seed ^ 0x1055);
-            let mut wl_rng = root.derive(rep * 2 + 1);
-            let workload =
-                dtn_epidemic::Workload::single_random_flow(25, trace.node_count(), &mut wl_rng);
-            let mut config = dtn_epidemic::SimConfig::paper_defaults(protocols::pure_epidemic());
-            config.transfer_loss_prob = loss;
-            runs.push(dtn_epidemic::simulate(
-                &trace,
-                &workload,
-                &config,
-                root.derive(rep * 2),
-            ));
-        }
-        let point = crate::runner::aggregate_point(25, &runs);
+        // The study's own root (not the sweep's per-load one), shared by
+        // every loss level so the runs pair up across rows.
+        let plan = ReplicationPlan {
+            root: SimRng::new(cfg.base_seed ^ 0x1055),
+            load: 25,
+            replications: cfg.replications,
+            traces: Traces::Scenario {
+                mobility: Mobility::Trace,
+                seed: cfg.base_seed,
+                cache: cache.clone(),
+            },
+            config: SimConfig {
+                transfer_loss_prob: loss,
+                ..SimConfig::paper_defaults(protocols::pure_epidemic())
+            },
+        };
+        let runs: Vec<Result<RunMetrics, String>> = plan
+            .run(
+                cfg.threads,
+                Watchdog::new(cfg.retries, cfg.point_timeout_secs),
+                |_| NullProbe,
+            )
+            .into_iter()
+            .map(|o| o.into_result().map(|(m, _)| m))
+            .collect();
+        let point = aggregate_point_checked(25, &runs);
         rows.push(vec![
             format!("loss = {loss}"),
             format!("{:.1}", 100.0 * point.delivery_ratio.mean),
@@ -316,11 +331,13 @@ pub fn steady_state_table(cfg: &SweepConfig) -> TextTable {
             protocols::cumulative_immunity_epidemic(),
         ),
     ] {
+        // A multi-flow workload, so this study keeps its own loop over
+        // the shared replication streams instead of a `ReplicationPlan`.
         let mut runs = Vec::new();
-        for rep in 0..cfg.replications as u64 {
-            let trace = Mobility::Trace.build(cfg.base_seed, rep);
-            let root = dtn_sim::SimRng::new(cfg.base_seed ^ 0x57EA);
-            let mut wl_rng = root.derive(rep * 2 + 1);
+        let root = SimRng::new(cfg.base_seed ^ 0x57EA);
+        for rep in 0..cfg.replications {
+            let trace = Mobility::Trace.build(cfg.base_seed, rep as u64);
+            let (mut wl_rng, sim_rng) = replication_streams(&root, rep, 0);
             // One 4-bundle flow arriving every ~30 000 s on average over
             // the first 80 % of the horizon.
             let workload = dtn_epidemic::Workload::poisson_flows(
@@ -330,13 +347,8 @@ pub fn steady_state_table(cfg: &SweepConfig) -> TextTable {
                 trace.node_count(),
                 &mut wl_rng,
             );
-            let config = dtn_epidemic::SimConfig::paper_defaults(protocol.clone());
-            runs.push(dtn_epidemic::simulate(
-                &trace,
-                &workload,
-                &config,
-                root.derive(rep * 2),
-            ));
+            let config = SimConfig::paper_defaults(protocol.clone());
+            runs.push(dtn_epidemic::simulate(&trace, &workload, &config, sim_rng));
         }
         let point = crate::runner::aggregate_point(0, &runs);
         rows.push(vec![

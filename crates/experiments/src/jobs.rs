@@ -11,39 +11,30 @@
 //!   watchdog policy) and nothing it doesn't, and serializes to a
 //!   canonical JSON line ([`PointJob::to_canonical_json`]) that doubles
 //!   as the content-address of the result in the `dtn-service` cache;
-//! * the **executor** ([`PointJob::run`]) reuses
-//!   [`par_map_supervised`] with the repo's canonical seeding convention
-//!   (attempt 0 on `root.derive(rep*2)` / `root.derive(rep*2+1)`, retries
-//!   on the salted `0x57AC_0000 | attempt` stream), so a job run here is
-//!   bit-identical to the same point run by the sweep runner, the
-//!   robustness grid, or `dtnsim` — which is what makes cached results
-//!   indistinguishable from fresh ones.
+//! * the **executor** ([`PointJob::run`]) is the shared replication
+//!   path — [`ReplicationPlan::run`] on the job's root seed, traces and
+//!   [`SimConfig`] — so a job run here is bit-identical to the same point
+//!   run by the sweep runner, the robustness grid, or `dtnsim`, which is
+//!   what makes cached results indistinguishable from fresh ones.
 //!
 //! [`PointOutcome`] is the result side: per-replication [`RunOutcome`]s
 //! and attempt counts (the same tokens the robustness checkpoints use,
 //! with `f64`s as IEEE-754 bit patterns so a JSON round-trip is
 //! bit-exact) plus any audit violations.
 
-use crate::runner::SweepConfig;
+use crate::runner::{point_root_seed, Replication, ReplicationPlan, SweepConfig, Traces};
 use crate::scenarios::Mobility;
 use crate::TraceCache;
 use dtn_epidemic::{
-    protocols, simulate, simulate_probed, AuditMode, AuditProbe, ChurnMode, ChurnPlan, FaultPlan,
-    GilbertElliott, RunMetrics, SimConfig, Workload,
+    protocols, ChurnMode, ChurnPlan, FaultPlan, GilbertElliott, NullProbe, RunMetrics, SimConfig,
 };
-use dtn_sim::{par_map_supervised, JobOutcome, SimDuration, SimRng, SimTime, Threads, Watchdog};
+use dtn_sim::{JobOutcome, SimDuration, SimRng, SimTime, Threads, Watchdog};
 use std::sync::Arc;
 
-/// Salt namespace for retry attempts — far above the `rep * 2 (+ 1)`
-/// stream indices the canonical attempt-0 derivation uses, so a retried
-/// replication walks a genuinely fresh path (replaying the exact seed
-/// that just panicked would panic again deterministically).
-pub const RETRY_SALT: u64 = 0x57AC_0000;
-
-/// A test seam for the supervisor itself: called at the top of every
-/// replication attempt with `(point key, replication, attempt)`, free to
-/// panic (exercising bounded retry) or sleep (exercising the hard
-/// deadline). Production callers pass `None`.
+/// A test seam for the supervisor itself: called as every replication
+/// attempt starts, before it simulates, with `(point key, replication,
+/// attempt)`; free to panic (exercising bounded retry) or sleep
+/// (exercising the hard deadline). Production callers pass `None`.
 pub type InjectHook = Arc<dyn Fn(&str, usize, u32) + Send + Sync>;
 
 /// One supervised replication outcome, as stored in checkpoints, shipped
@@ -126,11 +117,12 @@ pub fn outcome_from_json(tok: &str) -> Result<RunOutcome, String> {
     if tok == "{\"timeout\":true}" {
         return Ok(RunOutcome::TimedOut);
     }
-    if let Some(rest) = tok.strip_prefix("{\"panic\":\"") {
-        let msg = rest
-            .strip_suffix("\"}")
-            .ok_or_else(|| format!("bad panic token {tok:?}"))?;
-        return Ok(RunOutcome::Panicked(msg.to_string()));
+    if let Some(rest) = tok.strip_prefix("{\"panic\":") {
+        let (msg, rest) = parse_json_string(rest)?;
+        if rest != "}" {
+            return Err(format!("bad panic token {tok:?}"));
+        }
+        return Ok(RunOutcome::Panicked(msg));
     }
     let body = tok
         .strip_prefix('[')
@@ -251,7 +243,7 @@ impl PointJob {
             mobility,
             load,
             replications: cfg.replications,
-            root_seed: cfg.base_seed ^ (load as u64) << 32,
+            root_seed: point_root_seed(cfg.base_seed, load),
             trace_seed: cfg.base_seed,
             buffer_capacity: cfg.buffer_capacity,
             tx_time_secs: cfg.tx_time_secs.unwrap_or_else(|| mobility.tx_time_secs()),
@@ -260,17 +252,6 @@ impl PointJob {
             retries: cfg.retries,
             point_timeout_secs: cfg.point_timeout_secs,
             audit: cfg.audit,
-        }
-    }
-
-    /// The watchdog policy this job asks for: the soft deadline, when a
-    /// hard deadline is set, is half of it (matching [`SweepConfig`]).
-    pub fn watchdog(&self) -> Watchdog {
-        let timeout = self.point_timeout_secs.map(std::time::Duration::from_secs);
-        Watchdog {
-            retries: self.retries,
-            timeout,
-            soft_timeout: timeout.map(|t| t / 2),
         }
     }
 
@@ -295,87 +276,55 @@ impl PointJob {
     /// Run every replication of this point under watchdog supervision.
     /// Seeding is the canonical convention, so the outcomes are
     /// bit-identical to the in-process runners' for the same fields.
-    pub fn run(&self, threads: Threads, cache: &Arc<TraceCache>) -> Result<PointOutcome, String> {
-        self.run_hooked(threads, cache, None, "")
+    pub fn run(&self, threads: Threads, cache: &TraceCache) -> Result<PointOutcome, String> {
+        self.run_hooked(threads, cache, None)
     }
 
-    /// [`PointJob::run`] with an optional [`InjectHook`] prepended to
-    /// every replication attempt (the supervisor test seam; `key` is the
-    /// point label handed to the hook).
-    pub fn run_hooked(
+    /// [`PointJob::run`] with an optional [`InjectHook`] (and the point
+    /// key handed to it) called as every replication attempt starts.
+    pub(crate) fn run_hooked(
         &self,
         threads: Threads,
-        cache: &Arc<TraceCache>,
-        inject: Option<InjectHook>,
-        key: &str,
+        cache: &TraceCache,
+        inject: Option<(InjectHook, String)>,
     ) -> Result<PointOutcome, String> {
         self.validate()?;
-        let protocol = protocols::from_spec(&self.protocol)?;
-        let sim_config = SimConfig {
-            protocol,
-            buffer_capacity: self.buffer_capacity,
-            tx_time: SimDuration::from_secs(self.tx_time_secs),
-            ack_slot_cost: 0.1,
-            transfer_loss_prob: self.transfer_loss,
-            bundle_bytes: 10_000_000,
-            ack_record_bytes: 16,
-            faults: self.faults.clone(),
-        };
-        let root = SimRng::new(self.root_seed);
-        let cache = Arc::clone(cache);
-        let mobility = self.mobility;
-        let (trace_seed, load, audit) = (self.trace_seed, self.load, self.audit);
-        let key = key.to_string();
-        let results = par_map_supervised(
-            threads,
-            self.replications,
-            self.watchdog(),
-            move |rep, attempt| {
-                if let Some(hook) = &inject {
-                    hook(&key, rep, attempt);
-                }
-                run_replication(
-                    rep,
-                    attempt,
-                    &root,
-                    load,
-                    mobility,
-                    trace_seed,
-                    &sim_config,
-                    audit,
-                    &cache,
-                )
+        let plan = ReplicationPlan {
+            root: SimRng::new(self.root_seed),
+            load: self.load,
+            replications: self.replications,
+            traces: Traces::Scenario {
+                mobility: self.mobility,
+                seed: self.trace_seed,
+                cache: cache.clone(),
             },
-        );
-        let mut out = PointOutcome {
-            outcomes: Vec::with_capacity(results.len()),
-            attempts: Vec::with_capacity(results.len()),
-            violations: Vec::new(),
-            slow: 0,
+            config: SimConfig {
+                buffer_capacity: self.buffer_capacity,
+                tx_time: SimDuration::from_secs(self.tx_time_secs),
+                transfer_loss_prob: self.transfer_loss,
+                faults: self.faults.clone(),
+                ..SimConfig::paper_defaults(protocols::from_spec(&self.protocol)?)
+            },
         };
-        for (rep, result) in results.into_iter().enumerate() {
-            out.attempts.push(result.attempts());
-            match result {
-                JobOutcome::Ok {
-                    value: (m, viols),
-                    slow,
-                    ..
-                } => {
-                    out.slow += usize::from(slow);
-                    for v in viols {
-                        out.violations.push(format!("rep {rep}: {v}"));
-                    }
-                    out.outcomes.push(RunOutcome::Ok(m));
-                }
-                JobOutcome::Panicked { message, .. } => {
-                    out.outcomes.push(RunOutcome::Panicked(message));
-                }
-                JobOutcome::TimedOut { .. } => {
-                    out.outcomes.push(RunOutcome::TimedOut);
-                }
+        let watchdog = Watchdog::new(self.retries, self.point_timeout_secs);
+        let hook = move |r: &Replication<'_>| {
+            if let Some((hook, key)) = &inject {
+                hook(key, r.rep, r.attempt);
             }
-        }
-        Ok(out)
+        };
+        Ok(if self.audit {
+            let results = plan.run(threads, watchdog, move |r| {
+                hook(r);
+                r.audit_probe()
+            });
+            PointOutcome::from_supervised(results, |_, _, audit| audit.violation_strings())
+        } else {
+            let results = plan.run(threads, watchdog, move |r| {
+                hook(r);
+                NullProbe
+            });
+            PointOutcome::from_supervised(results, |_, _, _| Vec::new())
+        })
     }
 
     /// The job as one canonical JSON line: fixed key order, no
@@ -434,6 +383,42 @@ impl PointJob {
 }
 
 impl PointOutcome {
+    /// Fold supervised replication results (see [`ReplicationPlan::run`])
+    /// into a point outcome. `violations` turns each finished
+    /// replication's `(rep, metrics, probe)` into its audit findings,
+    /// which are recorded as `"rep {rep}: {violation}"`; callers that
+    /// want more from their probes can take it here too.
+    pub fn from_supervised<P>(
+        results: Vec<JobOutcome<(RunMetrics, P)>>,
+        mut violations: impl FnMut(usize, &RunMetrics, P) -> Vec<String>,
+    ) -> PointOutcome {
+        let mut out = PointOutcome {
+            outcomes: Vec::with_capacity(results.len()),
+            attempts: Vec::with_capacity(results.len()),
+            violations: Vec::new(),
+            slow: 0,
+        };
+        for (rep, result) in results.into_iter().enumerate() {
+            out.attempts.push(result.attempts());
+            out.outcomes.push(match result {
+                JobOutcome::Ok {
+                    value: (m, probe),
+                    slow,
+                    ..
+                } => {
+                    out.slow += usize::from(slow);
+                    for v in violations(rep, &m, probe) {
+                        out.violations.push(format!("rep {rep}: {v}"));
+                    }
+                    RunOutcome::Ok(m)
+                }
+                JobOutcome::Panicked { message, .. } => RunOutcome::Panicked(message),
+                JobOutcome::TimedOut { .. } => RunOutcome::TimedOut,
+            });
+        }
+        out
+    }
+
     /// The point result as one JSON line — the service wire/cache
     /// format. Outcome tokens are the checkpoint tokens (bit-exact
     /// floats), so [`PointOutcome::from_wire_json`] reproduces the
@@ -517,10 +502,11 @@ impl PointOutcome {
     }
 }
 
-/// Split a comma-joined sequence of outcome tokens at bracket depth 0.
-/// Tokens contain no quoted commas outside panic messages, and panic
-/// messages are escaped, so a depth scanner suffices.
-fn split_top_level(body: &str) -> Vec<&str> {
+/// Split a comma-joined sequence of outcome tokens at bracket depth 0,
+/// skipping over quoted strings (panic messages may hold any bracket or
+/// comma). Unbalanced closers never underflow: the token they end up in
+/// fails to parse instead.
+pub(crate) fn split_top_level(body: &str) -> Vec<&str> {
     let mut toks = Vec::new();
     let (mut depth, mut start, mut in_str, mut escaped) = (0usize, 0usize, false, false);
     for (i, c) in body.char_indices() {
@@ -554,92 +540,64 @@ fn split_top_level(body: &str) -> Vec<&str> {
 /// strings.
 fn parse_string_array(body: &str) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
-    let mut chars = body.char_indices().peekable();
-    while let Some((_, c)) = chars.next() {
-        match c {
-            '"' => {
-                let mut s = String::new();
-                loop {
-                    let Some((_, c)) = chars.next() else {
-                        return Err(format!("unterminated string in {body:?}"));
-                    };
-                    match c {
-                        '"' => break,
-                        '\\' => {
-                            let Some((_, e)) = chars.next() else {
-                                return Err(format!("dangling escape in {body:?}"));
-                            };
-                            match e {
-                                '"' => s.push('"'),
-                                '\\' => s.push('\\'),
-                                'n' => s.push('\n'),
-                                't' => s.push('\t'),
-                                'r' => s.push('\r'),
-                                'u' => {
-                                    let mut code = 0u32;
-                                    for _ in 0..4 {
-                                        let Some((_, h)) = chars.next() else {
-                                            return Err(format!("bad \\u escape in {body:?}"));
-                                        };
-                                        code = code * 16
-                                            + h.to_digit(16).ok_or_else(|| {
-                                                format!("bad \\u digit {h:?} in {body:?}")
-                                            })?;
-                                    }
-                                    s.push(
-                                        char::from_u32(code)
-                                            .ok_or_else(|| format!("bad codepoint {code:#x}"))?,
-                                    );
-                                }
-                                other => return Err(format!("bad escape \\{other} in {body:?}")),
-                            }
-                        }
-                        c => s.push(c),
-                    }
-                }
-                out.push(s);
-            }
-            ',' | ' ' | '\t' | '\n' => {}
-            other => return Err(format!("unexpected {other:?} in string array {body:?}")),
+    let mut rest = body;
+    loop {
+        rest = rest.trim_start_matches([',', ' ', '\t', '\n']);
+        if rest.is_empty() {
+            return Ok(out);
         }
+        let (s, after) =
+            parse_json_string(rest).map_err(|e| format!("{e} in string array {body:?}"))?;
+        out.push(s);
+        rest = after;
     }
-    Ok(out)
 }
 
-/// One supervised replication: canonical RNG streams on attempt 0, a
-/// salted stream per retry, optionally audited through an
-/// [`AuditProbe`] in `Record` mode (probes never perturb the run, so
-/// audited metrics stay bit-identical).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_replication(
-    rep: usize,
-    attempt: u32,
-    root: &SimRng,
-    load: u32,
-    mobility: Mobility,
-    trace_seed: u64,
-    sim_config: &SimConfig,
-    audit: bool,
-    cache: &TraceCache,
-) -> (RunMetrics, Vec<String>) {
-    let rep = rep as u64;
-    let stream = if attempt == 0 {
-        root.clone()
-    } else {
-        root.derive(RETRY_SALT | u64::from(attempt))
-    };
-    let mut wl_rng = stream.derive(rep * 2 + 1);
-    let sim_rng = stream.derive(rep * 2);
-    let trace = mobility.build_cached(trace_seed, rep, cache);
-    let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-    if audit {
-        let mut probe =
-            AuditProbe::new(&workload, sim_config, trace.node_count(), AuditMode::Record);
-        let metrics = simulate_probed(&trace, &workload, sim_config, sim_rng, &mut probe);
-        (metrics, probe.violation_strings())
-    } else {
-        (simulate(&trace, &workload, sim_config, sim_rng), Vec::new())
+/// Parse the JSON string literal opening `s`, decoding its escapes (the
+/// inverse of `report::json_escape`); returns the string and whatever
+/// follows its closing quote.
+fn parse_json_string(s: &str) -> Result<(String, &str), String> {
+    let mut chars = s.char_indices();
+    match chars.next() {
+        Some((_, '"')) => {}
+        other => return Err(format!("expected a string, got {other:?}")),
     }
+    let mut out = String::new();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Ok((out, &s[i + 1..])),
+            '\\' => {
+                let Some((_, e)) = chars.next() else {
+                    return Err(format!("dangling escape in {s:?}"));
+                };
+                match e {
+                    '"' => out.push('"'),
+                    '\\' => out.push('\\'),
+                    'n' => out.push('\n'),
+                    't' => out.push('\t'),
+                    'r' => out.push('\r'),
+                    'u' => {
+                        let mut code = 0u32;
+                        for _ in 0..4 {
+                            let Some((_, h)) = chars.next() else {
+                                return Err(format!("bad \\u escape in {s:?}"));
+                            };
+                            code = code * 16
+                                + h.to_digit(16)
+                                    .ok_or_else(|| format!("bad \\u digit {h:?} in {s:?}"))?;
+                        }
+                        out.push(
+                            char::from_u32(code)
+                                .ok_or_else(|| format!("bad codepoint {code:#x}"))?,
+                        );
+                    }
+                    other => return Err(format!("bad escape \\{other} in {s:?}")),
+                }
+            }
+            c => out.push(c),
+        }
+    }
+    Err(format!("unterminated string in {s:?}"))
 }
 
 /// Construct a fault plan for tests and examples exercising every field.
@@ -665,7 +623,7 @@ pub fn exercise_fault_plan() -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{point_sim_config, run_point_raw_cached};
+    use crate::runner::{point_sim_config, run_point_checked_cached};
     use dtn_epidemic::protocols;
 
     #[test]
@@ -677,7 +635,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let cache = TraceCache::new();
-        let direct = run_point_raw_cached(
+        let direct = run_point_checked_cached(
             &protocols::immunity_epidemic(),
             Mobility::Interval(2000),
             5,
@@ -685,11 +643,15 @@ mod tests {
             &cache,
         );
         let job = PointJob::from_sweep("immunity", Mobility::Interval(2000), 5, &cfg);
-        let shared = Arc::new(TraceCache::new());
+        let shared = TraceCache::new();
         let out = job.run(Threads::Sequential, &shared).unwrap();
         assert_eq!(out.outcomes.len(), direct.len());
         for (o, d) in out.outcomes.iter().zip(&direct) {
-            assert_eq!(o, &RunOutcome::Ok(*d), "job diverged from runner");
+            assert_eq!(
+                o,
+                &RunOutcome::Ok(*d.as_ref().unwrap()),
+                "job diverged from runner"
+            );
         }
         assert_eq!(out.attempts, vec![1, 1, 1]);
         assert!(out.violations.is_empty());
@@ -726,7 +688,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let job = PointJob::from_sweep("cumulative", Mobility::Interval(2000), 5, &cfg);
-        let cache = Arc::new(TraceCache::new());
+        let cache = TraceCache::new();
         let out = job.run(Threads::Sequential, &cache).unwrap();
         let wire = out.to_wire_json();
         let back = PointOutcome::from_wire_json(&wire).unwrap();
@@ -737,8 +699,12 @@ mod tests {
                 out.outcomes[0].clone(),
                 RunOutcome::Panicked("boom".into()),
                 RunOutcome::TimedOut,
+                RunOutcome::Panicked("line1\nline2".into()),
+                RunOutcome::Panicked(
+                    "called `Result::unwrap()` on an `Err` value: \"a\\b\" [x], {y}".into(),
+                ),
             ],
-            attempts: vec![1, 3, 2],
+            attempts: vec![1, 3, 2, 1, 2],
             violations: vec!["rep 0: a \"quoted\"\nviolation".into()],
             slow: 1,
         };

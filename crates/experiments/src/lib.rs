@@ -5,8 +5,10 @@
 //!
 //! * [`scenarios`] — the mobility sources (trace stand-in, subscriber-
 //!   point RWP, controlled-interval) with the paper's seeding semantics;
-//! * [`runner`] — the load sweep × replication machinery, parallelized
-//!   across cores with deterministic, thread-count-invariant results;
+//! * [`runner`] — the load sweep × replication machinery and the one
+//!   replication path ([`ReplicationPlan`]) every experiment shares,
+//!   parallelized across cores with deterministic, thread-count-invariant
+//!   results;
 //! * [`jobs`] — self-contained per-point job units ([`PointJob`]) with
 //!   canonical serialization, shared by the local drivers and the
 //!   `dtn-service` daemon so cached results are bit-identical to fresh
@@ -53,12 +55,12 @@ pub use report::{
 pub use reporter::{Reporter, Verbosity};
 pub use robustness::{
     assemble_grid_report, fault_grid, grid_point_jobs, record_supervised_point, run_robustness,
-    run_robustness_watched, FaultCell, GridPoint, InjectHook, RunOutcome,
+    FaultCell, GridPoint, InjectHook, RunOutcome,
 };
 pub use runner::{
-    aggregate_point, aggregate_point_checked, point_sim_config, run_point_checked_cached,
-    run_point_raw, run_point_raw_cached, run_point_series, run_point_traced, run_sweep,
-    run_sweep_cached, PointResult, SweepConfig, SweepResult,
+    aggregate_point, aggregate_point_checked, point_sim_config, run_point,
+    run_point_checked_cached, run_sweep, run_sweep_cached, PointResult, Replication,
+    ReplicationPlan, SweepConfig, SweepResult, Traces,
 };
 pub use scenarios::Mobility;
 pub use tables::{overhead_table, table2};

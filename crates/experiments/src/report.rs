@@ -412,27 +412,6 @@ impl SweepReport {
         }
     }
 
-    /// [`record_point`](Self::record_point) over panic-isolated outcomes:
-    /// the metric aggregates cover the successful replications, while
-    /// each panic counts as one panicked **and** one failed replication.
-    pub fn record_point_checked(
-        &mut self,
-        protocol: &str,
-        mobility: &str,
-        load: u32,
-        results: &[Result<RunMetrics, String>],
-    ) {
-        let ok: Vec<RunMetrics> = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok().copied())
-            .collect();
-        let panics = results.len() - ok.len();
-        self.record_point(protocol, mobility, load, &ok);
-        let point = self.points.last_mut().expect("record_point pushed a point");
-        point.panics = panics;
-        point.failures += panics;
-    }
-
     /// Retention cap for [`SweepReport::violations`]. A pathological
     /// audited run could otherwise grow the report without bound.
     pub const MAX_VIOLATIONS: usize = 256;
@@ -773,7 +752,7 @@ mod tests {
     #[test]
     fn record_point_accumulates_counters_and_histogram() {
         let mut r = SweepReport::new("w");
-        let m = crate::runner::run_point_raw(
+        let m: Vec<RunMetrics> = crate::runner::run_point_checked_cached(
             &dtn_epidemic::protocols::pure_epidemic(),
             crate::Mobility::Trace,
             5,
@@ -783,7 +762,11 @@ mod tests {
                 threads: dtn_sim::Threads::Sequential,
                 ..Default::default()
             },
-        );
+            &crate::TraceCache::new(),
+        )
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
         r.record_point("Pure epidemic", "trace", 5, &m);
         assert_eq!(r.simulation_runs, 2);
         assert!(r.contacts_processed > 0);

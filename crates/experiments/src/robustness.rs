@@ -24,7 +24,7 @@
 //! the very same jobs to a `dtnsimd` daemon and reassembles the report
 //! with [`assemble_grid_report`] — canonically identical either way.
 
-use crate::jobs::{outcome_from_json, outcome_to_json, PointJob, PointOutcome};
+use crate::jobs::{outcome_from_json, outcome_to_json, split_top_level, PointJob, PointOutcome};
 use crate::runner::SweepConfig;
 use crate::scenarios::Mobility;
 use crate::{Reporter, SweepReport, TraceCache};
@@ -32,7 +32,6 @@ use dtn_epidemic::{protocols, ChurnMode, ChurnPlan, FaultPlan, GilbertElliott, R
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 pub use crate::jobs::{InjectHook, RunOutcome};
 
@@ -208,24 +207,10 @@ fn point_from_line(line: &str) -> Result<PointLine, String> {
     let body = rest
         .strip_suffix("]}")
         .ok_or_else(|| format!("bad checkpoint line {line:?}"))?;
-    // Outcome tokens contain no nested brackets at depth 0, so splitting
-    // on "]," / "}," boundaries via a tiny depth scanner is enough.
-    let mut outcomes = Vec::new();
-    let (mut depth, mut start) = (0usize, 0usize);
-    for (i, c) in body.char_indices() {
-        match c {
-            '[' | '{' => depth += 1,
-            ']' | '}' => depth -= 1,
-            ',' if depth == 0 => {
-                outcomes.push(outcome_from_json(&body[start..i])?);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if !body[start..].trim().is_empty() {
-        outcomes.push(outcome_from_json(&body[start..])?);
-    }
+    let outcomes = split_top_level(body)
+        .into_iter()
+        .map(outcome_from_json)
+        .collect::<Result<Vec<_>, _>>()?;
     if attempts.len() != outcomes.len() {
         return Err(format!(
             "checkpoint point {key:?} has {} attempt counts for {} runs",
@@ -310,22 +295,14 @@ fn grid_workload(mobility: Mobility, cfg: &SweepConfig) -> String {
 /// (and flushed) to the file, and `resume` reloads any compatible previous
 /// checkpoint so only missing points are simulated. A resumed run's report
 /// aggregates are bit-identical to an uninterrupted run's.
+///
+/// `inject` is the supervisor's test seam (production callers pass
+/// `None`): an [`InjectHook`] called as every replication attempt starts,
+/// so tests can make the supervisor itself misbehave on demand — panic on
+/// chosen attempts to exercise bounded retry, or sleep past the hard
+/// deadline to exercise timeout isolation — while everything else stays
+/// the production code path.
 pub fn run_robustness(
-    mobility: Mobility,
-    cfg: &SweepConfig,
-    checkpoint: Option<&Path>,
-    resume: bool,
-    log: &Reporter,
-) -> Result<SweepReport, String> {
-    run_robustness_watched(mobility, cfg, checkpoint, resume, log, None)
-}
-
-/// [`run_robustness`] with an optional [`InjectHook`] prepended to every
-/// replication attempt. The hook exists so tests can make the supervisor
-/// itself misbehave on demand — panic on chosen attempts to exercise
-/// bounded retry, or sleep past the hard deadline to exercise timeout
-/// isolation — while everything else stays the production code path.
-pub fn run_robustness_watched(
     mobility: Mobility,
     cfg: &SweepConfig,
     checkpoint: Option<&Path>,
@@ -370,7 +347,7 @@ pub fn run_robustness_watched(
     };
 
     let started = std::time::Instant::now();
-    let mut cache = Arc::new(TraceCache::new());
+    let mut cache = TraceCache::new();
     // Hit/miss counters accumulated across memory-guard cache sheds.
     let mut cache_base = (0u64, 0u64);
     let mut report = SweepReport::new(grid_workload(mobility, cfg));
@@ -394,9 +371,8 @@ pub fn run_robustness_watched(
                 }
                 let trace_secs = trace_started.elapsed().as_secs_f64();
                 let sim_started = std::time::Instant::now();
-                let out = gp
-                    .job
-                    .run_hooked(cfg.threads, &cache, inject.clone(), key)?;
+                let hook = inject.clone().map(|hook| (hook, key.clone()));
+                let out = gp.job.run_hooked(cfg.threads, &cache, hook)?;
                 let sim_secs = sim_started.elapsed().as_secs_f64();
                 phase_secs = Some((trace_secs, sim_secs));
                 if let Some(threshold) = cfg.slow_point_secs {
@@ -452,7 +428,7 @@ pub fn run_robustness_watched(
                 let (hits, misses) = cache.stats();
                 cache_base.0 += hits;
                 cache_base.1 += misses;
-                cache = Arc::new(TraceCache::new());
+                cache = TraceCache::new();
                 report.memory_degradations += 1;
                 log.info(format!(
                     "memory budget exceeded after {key}; trace cache shed, \
@@ -611,13 +587,25 @@ mod tests {
             RunOutcome::Panicked("deliberate".to_string()),
             RunOutcome::TimedOut,
             RunOutcome::Ok(m(5)),
+            RunOutcome::Panicked("unexpected ']' in input".to_string()),
         ];
-        let attempts = vec![1, 3, 2, 1];
+        let attempts = vec![1, 3, 2, 1, 2];
         let line = point_to_line("cell|Proto|25", &outcomes, &attempts);
         let (key, back, back_attempts) = point_from_line(&line).unwrap();
         assert_eq!(key, "cell|Proto|25");
         assert_eq!(back, outcomes);
         assert_eq!(back_attempts, attempts);
+    }
+
+    #[test]
+    fn corrupted_point_line_is_an_error_not_a_panic() {
+        for line in [
+            "{\"point\":\"k\",\"attempts\":[],\"runs\":[]]}",
+            "{\"point\":\"k\",\"attempts\":[1],\"runs\":[}]}",
+            "{\"point\":\"k\",\"attempts\":[1],\"runs\":[{\"panic\":\"x]}",
+        ] {
+            assert!(point_from_line(line).is_err(), "{line} parsed");
+        }
     }
 
     #[test]
@@ -631,8 +619,10 @@ mod tests {
         let mut tight = cfg.clone();
         tight.memory_budget_bytes = Some(1); // any live process is over this
         let log = Reporter::new(crate::Verbosity::Quiet);
-        let clean = run_robustness(Mobility::Interval(2000), &cfg, None, false, &log).unwrap();
-        let degraded = run_robustness(Mobility::Interval(2000), &tight, None, false, &log).unwrap();
+        let clean =
+            run_robustness(Mobility::Interval(2000), &cfg, None, false, &log, None).unwrap();
+        let degraded =
+            run_robustness(Mobility::Interval(2000), &tight, None, false, &log, None).unwrap();
         assert!(degraded.memory_degradations > 0, "guard never fired");
         assert_eq!(clean.points.len(), degraded.points.len());
         for (a, b) in clean.points.iter().zip(&degraded.points) {
@@ -671,10 +661,11 @@ mod tests {
             ..SweepConfig::default()
         };
         let log = Reporter::new(crate::Verbosity::Quiet);
-        let local = run_robustness(Mobility::Interval(2000), &cfg, None, false, &log).unwrap();
+        let local =
+            run_robustness(Mobility::Interval(2000), &cfg, None, false, &log, None).unwrap();
 
         let points = grid_point_jobs(Mobility::Interval(2000), &cfg).unwrap();
-        let cache = Arc::new(TraceCache::new());
+        let cache = TraceCache::new();
         let outcomes: Vec<PointOutcome> = points
             .iter()
             .map(|gp| gp.job.run(Threads::Sequential, &cache).unwrap())
@@ -701,15 +692,29 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("grid.ckpt");
 
-        let fresh =
-            run_robustness(Mobility::Interval(2000), &cfg, Some(&ckpt), false, &log).unwrap();
+        let fresh = run_robustness(
+            Mobility::Interval(2000),
+            &cfg,
+            Some(&ckpt),
+            false,
+            &log,
+            None,
+        )
+        .unwrap();
         // Drop the last few checkpoint lines to fake an interrupted run.
         let text = std::fs::read_to_string(&ckpt).unwrap();
         let keep: Vec<&str> = text.lines().take(text.lines().count() - 3).collect();
         std::fs::write(&ckpt, format!("{}\n", keep.join("\n"))).unwrap();
 
-        let resumed =
-            run_robustness(Mobility::Interval(2000), &cfg, Some(&ckpt), true, &log).unwrap();
+        let resumed = run_robustness(
+            Mobility::Interval(2000),
+            &cfg,
+            Some(&ckpt),
+            true,
+            &log,
+            None,
+        )
+        .unwrap();
         assert_eq!(fresh.points.len(), resumed.points.len());
         for (a, b) in fresh.points.iter().zip(&resumed.points) {
             assert_eq!(a.protocol, b.protocol);
@@ -726,8 +731,15 @@ mod tests {
             assert_eq!(a.churn_wipes, b.churn_wipes);
         }
         // A fully-complete checkpoint resumes without re-simulating.
-        let resumed2 =
-            run_robustness(Mobility::Interval(2000), &cfg, Some(&ckpt), true, &log).unwrap();
+        let resumed2 = run_robustness(
+            Mobility::Interval(2000),
+            &cfg,
+            Some(&ckpt),
+            true,
+            &log,
+            None,
+        )
+        .unwrap();
         assert_eq!(resumed2.points.len(), fresh.points.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -750,8 +762,15 @@ mod tests {
              \"replications\":1,\"loads\":[5]}\n",
         )
         .unwrap();
-        let err = run_robustness(Mobility::Interval(2000), &cfg, Some(&ckpt), true, &log)
-            .expect_err("mismatched manifest must be rejected");
+        let err = run_robustness(
+            Mobility::Interval(2000),
+            &cfg,
+            Some(&ckpt),
+            true,
+            &log,
+            None,
+        )
+        .expect_err("mismatched manifest must be rejected");
         assert!(err.contains("mismatch"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,14 +5,27 @@
 //! source/destination pair per replication, and metrics averaged per
 //! point. [`run_sweep`] produces exactly that for one
 //! (protocol, mobility) pair; figures are assembled from several sweeps.
+//!
+//! This module also owns the one replication path every experiment shares. A
+//! [`ReplicationPlan`] holds what a point's replications have in common
+//! (root RNG, load, traces, [`SimConfig`]); [`ReplicationPlan::run`] runs
+//! them through [`par_map_supervised`], and each attempt turns
+//! (root, replication, attempt) into its canonical streams in exactly one
+//! place. Sweeps, [`PointJob`](crate::PointJob)s, `dtnsim`, the loss
+//! ablation and the benches all go through it, so the same point is
+//! bit-identical whichever of them runs it (the Poisson steady-state study
+//! keeps its own loop, on the same streams).
 
 use crate::scenarios::Mobility;
 use dtn_epidemic::{
-    simulate, simulate_probed, FaultPlan, JsonlProbe, ProtocolConfig, RunMetrics, SimConfig,
-    TimeSeriesProbe, Workload,
+    simulate, simulate_probed, AuditMode, AuditProbe, FaultPlan, NullProbe, Probe, ProtocolConfig,
+    RunMetrics, SimConfig, TimeSeriesProbe, Workload,
 };
-use dtn_mobility::TraceCache;
-use dtn_sim::{par_map_catch, Pool, SimDuration, SimRng, Summary, Threads, Welford};
+use dtn_mobility::{ContactTrace, TraceCache};
+use dtn_sim::{
+    par_map_supervised, JobOutcome, SimDuration, SimRng, Summary, Threads, Watchdog, Welford,
+};
+use std::sync::Arc;
 
 /// Sweep-level configuration (defaults are the paper's).
 #[derive(Clone, Debug)]
@@ -42,10 +55,10 @@ pub struct SweepConfig {
     /// running when it expires is abandoned and recorded as timed out
     /// instead of hanging the sweep. `None` disables the deadline.
     pub point_timeout_secs: Option<u64>,
-    /// Attach an [`AuditProbe`](dtn_epidemic::AuditProbe) in `Record`
-    /// mode to every replication and surface any invariant violations in
-    /// the report. Probes never perturb the simulation, so audited
-    /// metrics are bit-identical to un-audited ones.
+    /// Attach an [`AuditProbe`] in `Record` mode to every replication and
+    /// surface any invariant violations in the report. Probes never
+    /// perturb the simulation, so audited metrics are bit-identical to
+    /// un-audited ones.
     pub audit: bool,
     /// Resident-set budget in bytes. When a finished point leaves the
     /// process above this budget the sweep sheds its trace cache
@@ -85,19 +98,6 @@ impl SweepConfig {
             loads: vec![10, 30, 50],
             replications: 3,
             ..SweepConfig::default()
-        }
-    }
-
-    /// The supervision policy this configuration asks for (see
-    /// [`dtn_sim::Watchdog`]). The soft deadline, when a hard deadline is
-    /// set, is half of it — successful-but-slow replications get flagged
-    /// before they start timing out.
-    pub fn watchdog(&self) -> dtn_sim::Watchdog {
-        let timeout = self.point_timeout_secs.map(std::time::Duration::from_secs);
-        dtn_sim::Watchdog {
-            retries: self.retries,
-            timeout,
-            soft_timeout: timeout.map(|t| t / 2),
         }
     }
 }
@@ -157,92 +157,218 @@ impl SweepResult {
     }
 }
 
-/// Run all replications of one (protocol, mobility, load) point and
-/// return the raw per-replication metrics (used directly by some tests
-/// and the overhead study). Traces are generated fresh per replication;
-/// prefer [`run_point_raw_cached`] when several points or sweeps share
-/// mobility.
-pub fn run_point_raw(
-    protocol: &ProtocolConfig,
-    mobility: Mobility,
-    load: u32,
-    cfg: &SweepConfig,
-) -> Vec<RunMetrics> {
-    run_point(protocol, mobility, load, cfg, None)
+/// Salt namespace for retry attempts — far above the `rep * 2 (+ 1)`
+/// stream indices the canonical attempt-0 derivation uses, so a retried
+/// replication walks a genuinely fresh path (replaying the exact seed
+/// that just panicked would panic again deterministically).
+pub(crate) const RETRY_SALT: u64 = 0x57AC_0000;
+
+/// Where a point's replications get their contact traces.
+#[derive(Clone, Debug)]
+pub enum Traces {
+    /// A built-in scenario: replication `rep` runs on
+    /// `mobility.build(seed, rep)`, generated once through `cache`.
+    Scenario {
+        /// The mobility source.
+        mobility: Mobility,
+        /// Scenario seed handed to the generator.
+        seed: u64,
+        /// Shared build-once store.
+        cache: TraceCache,
+    },
+    /// One loaded trace shared by every replication (a trace file).
+    Fixed(Arc<ContactTrace>),
 }
 
-/// [`run_point_raw`] with trace generation deduplicated through a shared
-/// [`TraceCache`]: every replication (and every other sweep handed the
-/// same cache) reuses one read-only `Arc`'d trace per distinct
-/// (scenario, seed, replication) key.
-pub fn run_point_raw_cached(
-    protocol: &ProtocolConfig,
-    mobility: Mobility,
-    load: u32,
-    cfg: &SweepConfig,
-    cache: &TraceCache,
-) -> Vec<RunMetrics> {
-    run_point(protocol, mobility, load, cfg, Some(cache))
+impl Traces {
+    /// The trace replication `rep` runs on.
+    pub fn get(&self, rep: u64) -> Arc<ContactTrace> {
+        match self {
+            Traces::Scenario {
+                mobility,
+                seed,
+                cache,
+            } => mobility.build_cached(*seed, rep, cache),
+            Traces::Fixed(trace) => Arc::clone(trace),
+        }
+    }
+}
+
+/// One replication attempt as a probe factory sees it, just before the
+/// simulation starts.
+pub struct Replication<'a> {
+    /// Replication index within the point.
+    pub rep: usize,
+    /// Attempt number (0 unless the watchdog is retrying a panic).
+    pub attempt: u32,
+    /// The contact trace the attempt runs on.
+    pub trace: &'a ContactTrace,
+    /// The attempt's workload.
+    pub workload: &'a Workload,
+    /// The configuration it runs under.
+    pub config: &'a SimConfig,
+}
+
+impl Replication<'_> {
+    /// An invariant auditor in `Record` mode for this attempt.
+    pub fn audit_probe(&self) -> AuditProbe {
+        AuditProbe::new(
+            self.workload,
+            self.config,
+            self.trace.node_count(),
+            AuditMode::Record,
+        )
+    }
+
+    /// A level-curve recorder for this attempt, sampling every
+    /// `horizon / 256` (at least every second). Call
+    /// [`TimeSeriesProbe::finish`] with the run's end time afterwards.
+    pub fn series_probe(&self) -> TimeSeriesProbe {
+        let interval = SimDuration::from_millis((self.trace.horizon().as_millis() / 256).max(1000));
+        TimeSeriesProbe::for_config(self.trace.node_count(), self.config, interval)
+    }
+}
+
+/// Everything one point's replications share. [`ReplicationPlan::run`]
+/// is the only code that turns it into simulations.
+#[derive(Clone, Debug)]
+pub struct ReplicationPlan {
+    /// Root RNG every replication's streams derive from.
+    pub root: SimRng,
+    /// Bundles in the single random flow.
+    pub load: u32,
+    /// Replications to run.
+    pub replications: usize,
+    /// Where each replication's trace comes from.
+    pub traces: Traces,
+    /// The configuration every replication runs under.
+    pub config: SimConfig,
+}
+
+impl ReplicationPlan {
+    /// Run every replication under `watchdog` supervision, attaching the
+    /// probe `probe` builds for each attempt, and return each one's
+    /// metrics and probe in replication order.
+    ///
+    /// Each attempt runs on its `replication_streams`. Probes never
+    /// perturb a run, and with [`NullProbe`] this is the plain `simulate`
+    /// path, so every caller gets bit-identical metrics.
+    pub fn run<P, F>(
+        self,
+        threads: Threads,
+        watchdog: Watchdog,
+        probe: F,
+    ) -> Vec<JobOutcome<(RunMetrics, P)>>
+    where
+        P: Probe + Send + 'static,
+        F: Fn(&Replication<'_>) -> P + Send + Sync + 'static,
+    {
+        par_map_supervised(threads, self.replications, watchdog, move |rep, attempt| {
+            let trace = self.traces.get(rep as u64);
+            let (mut wl_rng, sim_rng) = replication_streams(&self.root, rep, attempt);
+            let workload = Workload::single_random_flow(self.load, trace.node_count(), &mut wl_rng);
+            let mut probe = probe(&Replication {
+                rep,
+                attempt,
+                trace: &trace,
+                workload: &workload,
+                config: &self.config,
+            });
+            // A disabled probe observes nothing, so run the engine crate's
+            // own un-probed instance — the machine code every `simulate`
+            // caller gets — rather than a second copy of the engine
+            // monomorphized here, which measured ~5 % slower on
+            // perfbench's figure-grid workload (2-core Xeon host).
+            let metrics = if P::ENABLED {
+                simulate_probed(&trace, &workload, &self.config, sim_rng, &mut probe)
+            } else {
+                simulate(&trace, &workload, &self.config, sim_rng)
+            };
+            (metrics, probe)
+        })
+    }
+}
+
+/// The canonical `(workload, simulation)` streams of attempt `attempt`
+/// of replication `rep` under `root`: `root.derive(2 rep + 1)` and
+/// `root.derive(2 rep)` on the first attempt, the same indices under
+/// `root.derive(RETRY_SALT | attempt)` on a retry. This is the seeding
+/// convention every figure, job and CLI run relies on; no other code in
+/// the workspace derives replication streams.
+pub(crate) fn replication_streams(root: &SimRng, rep: usize, attempt: u32) -> (SimRng, SimRng) {
+    let salted;
+    let stream = match attempt {
+        0 => root,
+        n => {
+            salted = root.derive(RETRY_SALT | u64::from(n));
+            &salted
+        }
+    };
+    let rep = 2 * rep as u64;
+    (stream.derive(rep + 1), stream.derive(rep))
+}
+
+/// The root seed of one sweep point: `base_seed ^ (load << 32)`, so
+/// (protocol, load, replication) never collides across sweeps while
+/// staying deterministic.
+pub(crate) fn point_root_seed(base_seed: u64, load: u32) -> u64 {
+    base_seed ^ (load as u64) << 32
 }
 
 /// The [`SimConfig`] a sweep point runs under (the paper's constants plus
-/// the sweep's overrides). Shared by the plain, traced and series runners
-/// so their runs are interchangeable.
+/// the sweep's overrides).
 pub fn point_sim_config(
     protocol: &ProtocolConfig,
     mobility: Mobility,
     cfg: &SweepConfig,
 ) -> SimConfig {
     SimConfig {
-        protocol: protocol.clone(),
         buffer_capacity: cfg.buffer_capacity,
         tx_time: SimDuration::from_secs(
             cfg.tx_time_secs.unwrap_or_else(|| mobility.tx_time_secs()),
         ),
-        ack_slot_cost: 0.1,
-        transfer_loss_prob: 0.0,
-        bundle_bytes: 10_000_000,
-        ack_record_bytes: 16,
         faults: cfg.faults.clone(),
+        ..SimConfig::paper_defaults(protocol.clone())
     }
 }
 
-/// Namespaced root RNG for one (load) point; every replication's
-/// randomness derives from it so (protocol, load, replication) never
-/// collides across sweeps while staying deterministic.
-fn point_root_rng(load: u32, cfg: &SweepConfig) -> SimRng {
-    SimRng::new(cfg.base_seed ^ (load as u64) << 32)
-}
-
-fn run_point(
+/// Run every replication of one (protocol, mobility, load) sweep point
+/// with a probe from `probe` attached to each, under the sweep's thread
+/// policy and watchdog, with traces shared through `cache`. Traced,
+/// series and audited points are this call with a different probe.
+pub fn run_point<P, F>(
     protocol: &ProtocolConfig,
     mobility: Mobility,
     load: u32,
     cfg: &SweepConfig,
-    cache: Option<&TraceCache>,
-) -> Vec<RunMetrics> {
-    let sim_config = point_sim_config(protocol, mobility, cfg);
-    let root = point_root_rng(load, cfg);
-    Pool::new(cfg.threads).map(cfg.replications, move |rep| {
-        let rep = rep as u64;
-        let mut wl_rng = root.derive(rep * 2 + 1);
-        let sim_rng = root.derive(rep * 2);
-        let run = |trace: &dtn_mobility::ContactTrace| {
-            let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-            simulate(trace, &workload, &sim_config, sim_rng)
-        };
-        match cache {
-            Some(cache) => run(&mobility.build_cached(cfg.base_seed, rep, cache)),
-            None => run(&mobility.build(cfg.base_seed, rep)),
-        }
-    })
+    cache: &TraceCache,
+    probe: F,
+) -> Vec<JobOutcome<(RunMetrics, P)>>
+where
+    P: Probe + Send + 'static,
+    F: Fn(&Replication<'_>) -> P + Send + Sync + 'static,
+{
+    let plan = ReplicationPlan {
+        root: SimRng::new(point_root_seed(cfg.base_seed, load)),
+        load,
+        replications: cfg.replications,
+        traces: Traces::Scenario {
+            mobility,
+            seed: cfg.base_seed,
+            cache: cache.clone(),
+        },
+        config: point_sim_config(protocol, mobility, cfg),
+    };
+    plan.run(
+        cfg.threads,
+        Watchdog::new(cfg.retries, cfg.point_timeout_secs),
+        probe,
+    )
 }
 
-/// Panic-isolated [`run_point_raw_cached`]: each replication's outcome
-/// comes back as `Ok(metrics)` or `Err(panic message)` in replication
-/// order, and a diverging replication cannot take the sweep down with it.
-/// Seeding is identical to the plain runner, so the `Ok` values are
-/// bit-identical to [`run_point_raw_cached`]'s output.
+/// Un-probed [`run_point`] with each replication's outcome as
+/// `Ok(metrics)` or `Err(why it has none)`, in replication order: a
+/// diverging replication cannot take the sweep down with it.
 pub fn run_point_checked_cached(
     protocol: &ProtocolConfig,
     mobility: Mobility,
@@ -250,16 +376,10 @@ pub fn run_point_checked_cached(
     cfg: &SweepConfig,
     cache: &TraceCache,
 ) -> Vec<Result<RunMetrics, String>> {
-    let sim_config = point_sim_config(protocol, mobility, cfg);
-    let root = point_root_rng(load, cfg);
-    par_map_catch(cfg.threads, cfg.replications, move |rep| {
-        let rep = rep as u64;
-        let mut wl_rng = root.derive(rep * 2 + 1);
-        let sim_rng = root.derive(rep * 2);
-        let trace = mobility.build_cached(cfg.base_seed, rep, cache);
-        let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-        simulate(&trace, &workload, &sim_config, sim_rng)
-    })
+    run_point(protocol, mobility, load, cfg, cache, |_| NullProbe)
+        .into_iter()
+        .map(|o| o.into_result().map(|(m, _)| m))
+        .collect()
 }
 
 /// Aggregate checked replication outcomes into a [`PointResult`]: the
@@ -276,60 +396,6 @@ pub fn aggregate_point_checked(load: u32, results: &[Result<RunMetrics, String>]
     point.failures += panics;
     point.panics = panics;
     point
-}
-
-/// [`run_point_raw_cached`] with a [`JsonlProbe`] attached to every
-/// replication: returns each replication's metrics plus its JSONL event
-/// capture. Replications use the same seeding as the plain runner, so the
-/// metrics are bit-identical to an un-traced run; results come back in
-/// replication order regardless of the thread policy, so concatenating
-/// the captures yields a byte-deterministic stream.
-pub fn run_point_traced(
-    protocol: &ProtocolConfig,
-    mobility: Mobility,
-    load: u32,
-    cfg: &SweepConfig,
-    cache: &TraceCache,
-) -> Vec<(RunMetrics, String)> {
-    let sim_config = point_sim_config(protocol, mobility, cfg);
-    let root = point_root_rng(load, cfg);
-    Pool::new(cfg.threads).map(cfg.replications, move |rep| {
-        let rep = rep as u64;
-        let mut wl_rng = root.derive(rep * 2 + 1);
-        let sim_rng = root.derive(rep * 2);
-        let trace = mobility.build_cached(cfg.base_seed, rep, cache);
-        let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-        let mut probe = JsonlProbe::new();
-        let metrics = simulate_probed(&trace, &workload, &sim_config, sim_rng, &mut probe);
-        (metrics, probe.into_jsonl())
-    })
-}
-
-/// [`run_point_raw_cached`] with a [`TimeSeriesProbe`] attached to every
-/// replication: returns each replication's metrics plus its sampled
-/// level curves and distribution histograms. The sampling interval is
-/// `horizon / 256`, floored at one second.
-pub fn run_point_series(
-    protocol: &ProtocolConfig,
-    mobility: Mobility,
-    load: u32,
-    cfg: &SweepConfig,
-    cache: &TraceCache,
-) -> Vec<(RunMetrics, TimeSeriesProbe)> {
-    let sim_config = point_sim_config(protocol, mobility, cfg);
-    let root = point_root_rng(load, cfg);
-    Pool::new(cfg.threads).map(cfg.replications, move |rep| {
-        let rep = rep as u64;
-        let mut wl_rng = root.derive(rep * 2 + 1);
-        let sim_rng = root.derive(rep * 2);
-        let trace = mobility.build_cached(cfg.base_seed, rep, cache);
-        let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-        let interval = SimDuration::from_millis((trace.horizon().as_millis() / 256).max(1000));
-        let mut probe = TimeSeriesProbe::for_config(trace.node_count(), &sim_config, interval);
-        let metrics = simulate_probed(&trace, &workload, &sim_config, sim_rng, &mut probe);
-        probe.finish(metrics.end_time);
-        (metrics, probe)
-    })
 }
 
 /// Aggregate raw replication metrics into a [`PointResult`].
@@ -462,12 +528,16 @@ mod tests {
 
     #[test]
     fn aggregate_separates_failures_from_delays() {
-        let runs = run_point_raw(
+        let runs: Vec<RunMetrics> = run_point_checked_cached(
             &protocols::ttl_epidemic(dtn_sim::SimDuration::from_secs(50)),
             Mobility::Trace,
             50,
             &tiny(),
-        );
+            &TraceCache::new(),
+        )
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
         let point = aggregate_point(50, &runs);
         // With a 50 s TTL on a sparse trace, at least some replication
         // fails; the delay summary must then have fewer samples than the
@@ -481,15 +551,36 @@ mod tests {
         let cfg = tiny();
         let cache = TraceCache::new();
         let proto = protocols::immunity_epidemic();
-        let plain = run_point_raw_cached(&proto, Mobility::Trace, 5, &cfg, &cache);
-        let traced = run_point_traced(&proto, Mobility::Trace, 5, &cfg, &cache);
-        let series = run_point_series(&proto, Mobility::Trace, 5, &cfg, &cache);
+        let plain = run_point_checked_cached(&proto, Mobility::Trace, 5, &cfg, &cache);
+        let traced: Vec<(RunMetrics, String)> =
+            run_point(&proto, Mobility::Trace, 5, &cfg, &cache, |_| {
+                dtn_epidemic::JsonlProbe::new()
+            })
+            .into_iter()
+            .map(|o| o.value().map(|(m, p)| (m, p.into_jsonl())).unwrap())
+            .collect();
+        let series: Vec<(RunMetrics, TimeSeriesProbe)> =
+            run_point(&proto, Mobility::Trace, 5, &cfg, &cache, |r| {
+                r.series_probe()
+            })
+            .into_iter()
+            .map(|o| {
+                let (m, mut probe) = o.value().unwrap();
+                probe.finish(m.end_time);
+                (m, probe)
+            })
+            .collect();
         assert_eq!(plain.len(), traced.len());
         for (p, (t, jsonl)) in plain.iter().zip(&traced) {
-            assert_eq!(p, t, "probe must not perturb the simulation");
+            assert_eq!(
+                p.as_ref().unwrap(),
+                t,
+                "probe must not perturb the simulation"
+            );
             assert!(!jsonl.is_empty(), "events were captured");
         }
         for (p, (s, probe)) in plain.iter().zip(&series) {
+            let p = p.as_ref().unwrap();
             assert_eq!(p, s);
             assert!(!probe.samples.is_empty(), "curves were sampled");
             assert_eq!(probe.delay.count(), u64::from(p.delivered));

@@ -5,8 +5,10 @@
 //! protocol sweep, and within the trace scenario by every load level and
 //! replication too. Regenerating it each time made trace synthesis a
 //! fixed tax on every simulation run. [`TraceCache`] builds each
-//! distinct trace once and hands out read-only [`Arc`] clones; worker
-//! threads share it freely (`&TraceCache` is `Sync`).
+//! distinct trace once and hands out read-only [`Arc`] clones. The cache
+//! itself is a cheap handle: cloning it shares the same store, so worker
+//! threads — including the detached ones a watchdog deadline may
+//! abandon — each hold their own handle without borrowing.
 //!
 //! Generation is deterministic and pure, so the cache never changes
 //! *what* is simulated — only how often it is rebuilt. Builds run
@@ -34,9 +36,15 @@ pub struct TraceKey {
     pub replication: u64,
 }
 
-/// A concurrent build-once store of generated [`ContactTrace`]s.
-#[derive(Debug, Default)]
+/// A concurrent build-once store of generated [`ContactTrace`]s. Clones
+/// are handles on the same store (and the same hit/miss counters).
+#[derive(Clone, Debug, Default)]
 pub struct TraceCache {
+    shared: Arc<Shared>,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
     traces: Mutex<HashMap<TraceKey, Arc<ContactTrace>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -56,30 +64,40 @@ impl TraceCache {
     where
         F: FnOnce() -> ContactTrace,
     {
-        if let Some(trace) = self.traces.lock().expect("trace cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let shared = &*self.shared;
+        if let Some(trace) = shared
+            .traces
+            .lock()
+            .expect("trace cache poisoned")
+            .get(&key)
+        {
+            shared.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(trace);
         }
         // Build outside the lock: generation can take milliseconds and
         // must not serialize unrelated keys. A concurrent builder of the
         // same key produces an identical trace; first insert wins.
         let built = Arc::new(build());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut traces = self.traces.lock().expect("trace cache poisoned");
+        shared.misses.fetch_add(1, Ordering::Relaxed);
+        let mut traces = shared.traces.lock().expect("trace cache poisoned");
         Arc::clone(traces.entry(key).or_insert(built))
     }
 
     /// `(hits, misses)` so far — the bench harness reports these.
     pub fn stats(&self) -> (u64, u64) {
         (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
+            self.shared.hits.load(Ordering::Relaxed),
+            self.shared.misses.load(Ordering::Relaxed),
         )
     }
 
     /// Number of distinct traces held.
     pub fn len(&self) -> usize {
-        self.traces.lock().expect("trace cache poisoned").len()
+        self.shared
+            .traces
+            .lock()
+            .expect("trace cache poisoned")
+            .len()
     }
 
     /// True when nothing has been cached yet.
@@ -114,6 +132,17 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn clones_share_one_store() {
+        let cache = TraceCache::new();
+        let handle = cache.clone();
+        let a = handle.get_or_build(key(1, 7, 0), || build(7));
+        let b = cache.get_or_build(key(1, 7, 0), || panic!("must not rebuild"));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!(handle.len(), 1);
     }
 
     #[test]

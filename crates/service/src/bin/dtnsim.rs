@@ -110,38 +110,43 @@
 //! ```
 
 use dtn_epidemic::{
-    protocols, simulate, simulate_probed, AuditMode, AuditProbe, ChurnMode, ChurnPlan, FanoutProbe,
-    FaultPlan, GilbertElliott, JsonlProbe, ProtocolConfig, SimConfig, TimeSeriesProbe, Workload,
+    protocols, ChurnMode, ChurnPlan, FanoutProbe, FaultPlan, GilbertElliott, JsonlProbe, NullProbe,
+    ProtocolConfig, RunMetrics, SimConfig, TimeSeriesProbe,
 };
 use dtn_experiments::jobs::PointJob;
 use dtn_experiments::runner::aggregate_point;
 use dtn_experiments::{
     assemble_grid_report, grid_point_jobs, record_supervised_point, run_robustness,
-    FederationStats, Mobility, PointOutcome, Reporter, RunManifest, ShardStat, SweepConfig,
-    SweepReport, TraceCache, Verbosity,
+    FederationStats, Mobility, PointOutcome, ReplicationPlan, Reporter, RunManifest, RunOutcome,
+    ShardStat, SweepConfig, SweepReport, TraceCache, Traces, Verbosity,
 };
 use dtn_mobility::{read_trace_file, ContactTrace, TraceSummary};
 use dtn_service::httpd::{self, ConnectTarget};
 use dtn_service::{Client, ResilientClient, RetryPolicy};
-use dtn_sim::{par_map_supervised, Histogram, JobOutcome, SimDuration, SimRng, Threads, Watchdog};
+use dtn_sim::{Histogram, SimDuration, SimRng, Threads, Watchdog};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Where contacts come from: a built-in scenario or a trace file.
+/// Where contacts come from: a built-in scenario or a trace file, loaded
+/// once and shared by every replication.
 enum Source {
     Builtin(Mobility),
-    File(std::path::PathBuf, ContactTrace),
+    File(std::path::PathBuf, Arc<ContactTrace>),
 }
 
 impl Source {
-    /// Build the trace for one replication, deduplicated through `cache`
-    /// for the built-in scenarios (a file trace is already in memory).
-    fn build(&self, seed: u64, replication: u64, cache: &TraceCache) -> Arc<ContactTrace> {
+    /// The run's trace source: built-in scenarios are generated per
+    /// replication through `cache`; a file trace is handed out as is.
+    fn traces(&self, seed: u64, cache: &TraceCache) -> Traces {
         match self {
-            Source::Builtin(m) => m.build_cached(seed, replication, cache),
-            Source::File(_, trace) => Arc::new(trace.clone()),
+            Source::Builtin(mobility) => Traces::Scenario {
+                mobility: *mobility,
+                seed,
+                cache: cache.clone(),
+            },
+            Source::File(_, trace) => Traces::Fixed(Arc::clone(trace)),
         }
     }
 
@@ -167,7 +172,7 @@ fn parse_mobility(spec: &str) -> Result<Source, String> {
             let path = std::path::PathBuf::from(spec);
             if path.exists() {
                 let trace = read_trace_file(&path).map_err(|e| format!("loading {spec}: {e}"))?;
-                Ok(Source::File(path, trace))
+                Ok(Source::File(path, Arc::new(trace)))
             } else {
                 Err(format!("{parse_err}, or a trace file path"))
             }
@@ -707,7 +712,14 @@ fn run_robustness_mode(args: &Args, log: &Reporter) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let cfg = robustness_config(args);
-    match run_robustness(mobility, &cfg, args.checkpoint.as_deref(), args.resume, log) {
+    match run_robustness(
+        mobility,
+        &cfg,
+        args.checkpoint.as_deref(),
+        args.resume,
+        log,
+        None,
+    ) {
         Ok(report) => {
             print_report(&report, args.canonical);
             ExitCode::SUCCESS
@@ -1123,7 +1135,17 @@ fn run_single_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
     };
     let wall = started.elapsed().as_secs_f64();
 
-    let label = mobility.label();
+    let mut report = single_run_report(args, &mobility.label(), outcome, wall);
+    report.record_cache((0, 0));
+    report.finish(wall);
+    report.federation = federation_stats(&mut client, 0);
+    print_report(&report, args.canonical);
+    ExitCode::SUCCESS
+}
+
+/// The report of one single-point run, up to its sweep record — shared
+/// by the local and the daemon path so both print the same bytes.
+fn single_run_report(args: &Args, label: &str, outcome: &PointOutcome, wall: f64) -> SweepReport {
     let mut report = SweepReport::new(format!(
         "dtnsim: {} @ {} load {} x {} replications",
         args.protocol.name, label, args.load, args.reps
@@ -1131,7 +1153,7 @@ fn run_single_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
     record_supervised_point(
         &mut report,
         args.protocol.name,
-        &label,
+        label,
         args.load,
         &outcome.outcomes,
         &outcome.attempts,
@@ -1140,11 +1162,57 @@ fn run_single_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
         report.record_violation(v.clone());
     }
     report.record_sweep(format!("{} @ {}", args.protocol.name, label), wall);
-    report.record_cache((0, 0));
-    report.finish(wall);
-    report.federation = federation_stats(&mut client, 0);
-    print_report(&report, args.canonical);
-    ExitCode::SUCCESS
+    report
+}
+
+/// One successful replication's event capture and sampled curves.
+type Capture = (usize, String, TimeSeriesProbe);
+
+/// Run the local single point through the shared replication path, with
+/// the JSONL + series probes when `probed` and the auditor when `audit`.
+/// The probes are monomorphized in, so the un-probed, un-audited run is
+/// the plain `simulate` path.
+fn run_local(
+    plan: ReplicationPlan,
+    watchdog: Watchdog,
+    probed: bool,
+    audit: bool,
+) -> (PointOutcome, Vec<Capture>) {
+    let threads = Threads::Auto;
+    let mut captures = Vec::new();
+    let mut capture = |rep, m: &RunMetrics, jsonl: JsonlProbe, mut series: TimeSeriesProbe| {
+        series.finish(m.end_time);
+        captures.push((rep, jsonl.into_jsonl(), series));
+    };
+    let outcome = match (probed, audit) {
+        (false, false) => {
+            PointOutcome::from_supervised(plan.run(threads, watchdog, |_| NullProbe), |_, _, _| {
+                Vec::new()
+            })
+        }
+        (false, true) => PointOutcome::from_supervised(
+            plan.run(threads, watchdog, |r| r.audit_probe()),
+            |_, _, auditor| auditor.violation_strings(),
+        ),
+        (true, false) => PointOutcome::from_supervised(
+            plan.run(threads, watchdog, |r| (JsonlProbe::new(), r.series_probe())),
+            |rep, m, (jsonl, series)| {
+                capture(rep, m, jsonl, series);
+                Vec::new()
+            },
+        ),
+        (true, true) => PointOutcome::from_supervised(
+            plan.run(threads, watchdog, |r| {
+                FanoutProbe::new((JsonlProbe::new(), r.series_probe()), r.audit_probe())
+            }),
+            |rep, m, probe| {
+                let ((jsonl, series), auditor) = probe.into_parts();
+                capture(rep, m, jsonl, series);
+                auditor.violation_strings()
+            },
+        ),
+    };
+    (outcome, captures)
 }
 
 fn main() -> ExitCode {
@@ -1241,151 +1309,69 @@ fn main() -> ExitCode {
         return run_robustness_mode(&args, &log);
     }
 
-    let source = Arc::new(args.source);
-    let tx_time = args.tx_time.unwrap_or_else(|| source.default_tx_time());
-    let config = Arc::new(SimConfig {
-        protocol: args.protocol.clone(),
-        buffer_capacity: args.buffer,
-        tx_time: SimDuration::from_secs(tx_time),
-        ack_slot_cost: 0.1,
-        transfer_loss_prob: args.loss,
-        bundle_bytes: 10_000_000,
-        ack_record_bytes: 16,
-        faults: args.faults.clone(),
-    });
+    let cache = TraceCache::new();
+    let tx_time = args
+        .tx_time
+        .unwrap_or_else(|| args.source.default_tx_time());
+    let plan = ReplicationPlan {
+        root: SimRng::new(args.seed),
+        load: args.load,
+        replications: args.reps,
+        traces: args.source.traces(args.seed, &cache),
+        config: SimConfig {
+            buffer_capacity: args.buffer,
+            tx_time: SimDuration::from_secs(tx_time),
+            transfer_loss_prob: args.loss,
+            faults: args.faults.clone(),
+            ..SimConfig::paper_defaults(args.protocol.clone())
+        },
+    };
+    let label = args.source.label();
 
     log.info(format!(
         "protocol {:?} | mobility {} | load {} | buffer {} | tx {} s | {} replications",
-        args.protocol.name,
-        source.label(),
-        args.load,
-        args.buffer,
-        tx_time,
-        args.reps
+        args.protocol.name, label, args.load, args.buffer, tx_time, args.reps
     ));
 
-    let cache = Arc::new(TraceCache::new());
     if args.stats {
-        let trace = source.build(args.seed, 0, &cache);
         log.info(format!(
             "\ncontact-trace summary:\n{}",
-            TraceSummary::of(&trace).to_text()
+            TraceSummary::of(&plan.traces.get(0)).to_text()
         ));
     }
 
     let probed = args.trace_out.is_some() || args.series_out.is_some();
     // Warm the trace cache up front so the report's phase breakdown can
-    // separate mobility preparation from the protocol loop (file traces
-    // are already in memory, so their trace phase is just the load time
-    // already spent).
+    // separate mobility preparation from the protocol loop (a file trace
+    // is already loaded, so its trace phase is just handing it out).
     let trace_started = Instant::now();
-    if matches!(*source, Source::Builtin(_)) {
-        for rep in 0..args.reps {
-            let _ = source.build(args.seed, rep as u64, &cache);
-        }
+    for rep in 0..args.reps {
+        let _ = plan.traces.get(rep as u64);
     }
     let trace_secs = trace_started.elapsed().as_secs_f64();
     let started = Instant::now();
-    let root = SimRng::new(args.seed);
-    let watchdog = Watchdog {
-        retries: args.retries,
-        timeout: args.point_timeout.map(std::time::Duration::from_secs),
-        soft_timeout: args
-            .point_timeout
-            .map(|s| std::time::Duration::from_secs(s) / 2),
-    };
-    let job_source = Arc::clone(&source);
-    let job_config = Arc::clone(&config);
-    let job_cache = Arc::clone(&cache);
-    let (seed, load, audit) = (args.seed, args.load, args.audit);
-    // Each replication returns (metrics, jsonl events, series probe,
-    // audit violations); the probes are monomorphized in, so the
-    // un-probed, un-audited path stays the plain `simulate` the benches
-    // measure. Attempt 0 uses the canonical RNG derivation so a run that
-    // needs no retries is bit-identical to an unsupervised one; retries
-    // salt the stream (replaying a panicking seed would panic again).
-    type RepResult = (
-        dtn_epidemic::RunMetrics,
-        String,
-        Option<TimeSeriesProbe>,
-        Vec<String>,
-    );
-    let outcomes: Vec<JobOutcome<RepResult>> =
-        par_map_supervised(Threads::Auto, args.reps, watchdog, move |rep, attempt| {
-            let rep = rep as u64;
-            let trace = job_source.build(seed, rep, &job_cache);
-            let stream = if attempt == 0 {
-                root.clone()
-            } else {
-                root.derive(0x57AC_0000 | u64::from(attempt))
-            };
-            let mut wl_rng = stream.derive(rep * 2 + 1);
-            let sim_rng = stream.derive(rep * 2);
-            let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-            if probed {
-                let interval =
-                    SimDuration::from_millis((trace.horizon().as_millis() / 256).max(1000));
-                let pair = (
-                    JsonlProbe::new(),
-                    TimeSeriesProbe::for_config(trace.node_count(), &job_config, interval),
-                );
-                if audit {
-                    let auditor = AuditProbe::new(
-                        &workload,
-                        &job_config,
-                        trace.node_count(),
-                        AuditMode::Record,
-                    );
-                    let mut probe = FanoutProbe::new(pair, auditor);
-                    let m = simulate_probed(&trace, &workload, &job_config, sim_rng, &mut probe);
-                    let (mut pair, auditor) = probe.into_parts();
-                    pair.1.finish(m.end_time);
-                    (
-                        m,
-                        pair.0.into_jsonl(),
-                        Some(pair.1),
-                        auditor.violation_strings(),
-                    )
-                } else {
-                    let mut probe = pair;
-                    let m = simulate_probed(&trace, &workload, &job_config, sim_rng, &mut probe);
-                    probe.1.finish(m.end_time);
-                    (m, probe.0.into_jsonl(), Some(probe.1), Vec::new())
-                }
-            } else if audit {
-                let mut probe = AuditProbe::new(
-                    &workload,
-                    &job_config,
-                    trace.node_count(),
-                    AuditMode::Record,
-                );
-                let m = simulate_probed(&trace, &workload, &job_config, sim_rng, &mut probe);
-                (m, String::new(), None, probe.violation_strings())
-            } else {
-                let m = simulate(&trace, &workload, &job_config, sim_rng);
-                (m, String::new(), None, Vec::new())
-            }
-        });
+    let watchdog = Watchdog::new(args.retries, args.point_timeout);
+    let (outcome, captures) = run_local(plan, watchdog, probed, args.audit);
     let wall = started.elapsed().as_secs_f64();
-    let (mut panics, mut timed_out, mut retries_total) = (0usize, 0usize, 0u64);
-    let mut results: Vec<(usize, RepResult)> = Vec::with_capacity(outcomes.len());
-    for (rep, outcome) in outcomes.into_iter().enumerate() {
-        retries_total += u64::from(outcome.attempts().saturating_sub(1));
-        match outcome {
-            JobOutcome::Ok { value, .. } => results.push((rep, value)),
-            JobOutcome::Panicked { message, .. } => {
-                panics += 1;
+    for (rep, o) in outcome.outcomes.iter().enumerate() {
+        match o {
+            RunOutcome::Ok(_) => {}
+            RunOutcome::Panicked(message) => {
                 log.error(format!("replication {rep} panicked: {message}"));
             }
-            JobOutcome::TimedOut { .. } => {
-                timed_out += 1;
-                log.error(format!(
-                    "replication {rep} exceeded --point-timeout and was abandoned"
-                ));
-            }
+            RunOutcome::TimedOut => log.error(format!(
+                "replication {rep} exceeded --point-timeout and was abandoned"
+            )),
         }
     }
-    let runs: Vec<dtn_epidemic::RunMetrics> = results.iter().map(|(_, (m, _, _, _))| *m).collect();
+    let runs: Vec<RunMetrics> = outcome
+        .outcomes
+        .iter()
+        .filter_map(|o| match o {
+            RunOutcome::Ok(m) => Some(*m),
+            _ => None,
+        })
+        .collect();
 
     // Event capture: manifest line, then each replication's events behind
     // a `{"rep":i}` marker. Replications land in index order, so the file
@@ -1395,7 +1381,7 @@ fn main() -> ExitCode {
         let manifest = RunManifest {
             tool: "dtnsim".into(),
             protocol: args.protocol.name.into(),
-            mobility: source.label(),
+            mobility: label.clone(),
             load: args.load,
             replications: args.reps,
             seed: args.seed,
@@ -1407,7 +1393,7 @@ fn main() -> ExitCode {
         let mut out = String::new();
         let _ = writeln!(out, "{}", manifest.to_jsonl());
         let mut events = 0usize;
-        for (rep, (_, jsonl, _, _)) in results.iter() {
+        for (rep, jsonl, _) in &captures {
             let _ = writeln!(out, "{{\"rep\":{rep}}}");
             out.push_str(jsonl);
             events += jsonl.lines().count();
@@ -1425,12 +1411,9 @@ fn main() -> ExitCode {
     }
 
     // Time-series CSV: one row per (replication, sample).
-    let mut gap_hist = Histogram::new();
-    let mut bundles_hist = Histogram::new();
     if let Some(path) = &args.series_out {
         let mut csv = String::from("rep,t_secs,occupancy,duplication,delivered,transmissions\n");
-        for (rep, (_, _, probe, _)) in results.iter() {
-            let probe = probe.as_ref().expect("series requested implies probed run");
+        for (rep, _, probe) in &captures {
             for s in &probe.samples {
                 let _ = writeln!(
                     csv,
@@ -1450,19 +1433,15 @@ fn main() -> ExitCode {
         }
         log.debug(format!("wrote series CSV to {}", path.display()));
     }
-    for (_, (_, _, probe, _)) in &results {
-        if let Some(p) = probe {
-            gap_hist.merge(&p.contact_gap);
-            bundles_hist.merge(&p.bundles_per_contact);
-        }
+    let mut gap_hist = Histogram::new();
+    let mut bundles_hist = Histogram::new();
+    for (_, _, probe) in &captures {
+        gap_hist.merge(&probe.contact_gap);
+        bundles_hist.merge(&probe.bundles_per_contact);
     }
 
-    let violations: Vec<String> = results
-        .iter()
-        .flat_map(|(rep, (_, _, _, v))| v.iter().map(move |v| format!("rep {rep}: {v}")))
-        .collect();
     if args.audit {
-        match violations.len() {
+        match outcome.violations.len() {
             0 => log.info("audit: clean — no invariant violations"),
             n => log.error(format!("audit: {n} invariant violation(s) detected")),
         }
@@ -1508,25 +1487,8 @@ fn main() -> ExitCode {
     }
 
     // The machine-readable report is the only thing on stdout.
-    let mut report = SweepReport::new(format!(
-        "dtnsim: {} @ {} load {} x {} replications",
-        args.protocol.name,
-        source.label(),
-        args.load,
-        args.reps
-    ));
     let assemble_started = Instant::now();
-    report.record_point(args.protocol.name, &source.label(), args.load, &runs);
-    if let Some(point) = report.points.last_mut() {
-        point.panics = panics;
-        point.timed_out = timed_out;
-        point.failures += panics + timed_out;
-        point.retries = retries_total;
-    }
-    for v in violations {
-        report.record_violation(v);
-    }
-    report.record_sweep(format!("{} @ {}", args.protocol.name, source.label()), wall);
+    let mut report = single_run_report(&args, &label, &outcome, wall);
     report.record_cache(cache.stats());
     if !gap_hist.is_empty() {
         report.attach_histogram("inter_contact_gap_s", gap_hist);

@@ -271,7 +271,7 @@ struct Shared {
     config: DaemonConfig,
     local_addr: std::net::SocketAddr,
     store: Arc<ResultStore>,
-    trace_cache: Arc<TraceCache>,
+    trace_cache: TraceCache,
     queue: Mutex<VecDeque<String>>,
     work_cv: Condvar,
     jobs: Mutex<HashMap<String, JobEntry>>,
@@ -348,7 +348,7 @@ impl Daemon {
             config: config.clone(),
             local_addr,
             store,
-            trace_cache: Arc::new(TraceCache::new()),
+            trace_cache: TraceCache::new(),
             queue: Mutex::new(VecDeque::new()),
             work_cv: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
@@ -1041,12 +1041,11 @@ fn worker_loop(shared: &Arc<Shared>) {
             .inflight
             .set(shared.running.load(Ordering::Relaxed) as f64);
         let threads = shared.config.job_threads;
-        let trace_cache = Arc::clone(&shared.trace_cache);
         // PointJob::run already supervises per-replication panics; this
         // outer guard catches bugs in the fold itself so one bad job can
         // never take a worker thread down.
         let sim_start = MonotonicClock::now_nanos();
-        let outcome = catch_unwind(AssertUnwindSafe(|| job.run(threads, &trace_cache)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| job.run(threads, &shared.trace_cache)));
         let sim_nanos = MonotonicClock::now_nanos().saturating_sub(sim_start);
         let sim_secs = sim_nanos as f64 * 1e-9;
         shared.metrics.sim.record(sim_secs);

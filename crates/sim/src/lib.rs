@@ -16,9 +16,9 @@
 //! * [`telemetry`] — process-wide operational metrics (atomic counters,
 //!   gauges, latency histograms, [`Span`] timing guards) behind a global
 //!   registry, for the service/runner layers above;
-//! * [`parallel`] — a crossbeam-based fork–join executor that fans
-//!   replications out across cores while keeping results in deterministic
-//!   order.
+//! * [`parallel`] — a `std::thread::scope` fork–join executor that fans
+//!   replications out across cores under watchdog supervision while
+//!   keeping results in deterministic order.
 //!
 //! Nothing in this crate knows about bundles, buffers or mobility — those
 //! live in `dtn-mobility` and `dtn-epidemic` on top.
@@ -37,8 +37,7 @@ pub mod time;
 pub use engine::{Engine, Flow, Handler, Scheduler, StopReason};
 pub use events::EventQueue;
 pub use parallel::{
-    panic_message, par_map_catch, par_map_indexed, par_map_supervised, JobOutcome, Pool, Threads,
-    Watchdog,
+    panic_message, par_map_indexed, par_map_supervised, JobOutcome, Threads, Watchdog,
 };
 pub use rng::SimRng;
 pub use stats::{Histogram, HistogramBucket, Summary, TimeWeighted, Welford};

@@ -4,15 +4,15 @@
 //! a full figure is a sweep of ten load levels × several protocols, and the
 //! repository regenerates sixteen figures/tables. Those replications are
 //! embarrassingly parallel, so this module provides a small,
-//! dependency-free fork–join pool built on `std::thread::scope`:
+//! dependency-free fork–join executor built on `std::thread::scope`:
 //!
-//! * [`par_map_indexed`] — run `f(0..n)` across worker threads, returning
-//!   results **in index order** regardless of completion order (ordering is
-//!   part of determinism: figure CSVs must be byte-identical across runs);
-//! * [`par_map_catch`] — the panic-isolating variant: a job that panics
-//!   yields an `Err` in its slot instead of taking the sweep down, so one
-//!   bad replication cannot discard hours of finished work;
-//! * [`Pool`] — a reusable handle carrying the desired worker count.
+//! * [`par_map_supervised`] — the executor every replication runs
+//!   through: results come back **in index order** regardless of
+//!   completion order (ordering is part of determinism: figure CSVs must
+//!   be byte-identical across runs), a panicking job becomes a recorded
+//!   [`JobOutcome::Panicked`] instead of taking the sweep down, and a
+//!   [`Watchdog`] adds bounded retry and a hard per-attempt deadline;
+//! * [`par_map_indexed`] — the fork–join core it is built on.
 //!
 //! Work distribution is dynamic (an atomic work-stealing counter) because
 //! replication run times vary wildly — a failed delivery runs to the full
@@ -52,34 +52,6 @@ impl Threads {
     }
 }
 
-/// A reusable parallel-execution policy (worker count only — threads are
-/// scoped per call, so a `Pool` is freely clonable and never leaks).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Pool {
-    threads: Threads,
-}
-
-impl Pool {
-    /// Pool with the given thread policy.
-    pub fn new(threads: Threads) -> Self {
-        Pool { threads }
-    }
-
-    /// The thread policy this pool runs under.
-    pub fn threads(&self) -> Threads {
-        self.threads
-    }
-
-    /// Map `f` over `0..n` in parallel; see [`par_map_indexed`].
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        par_map_indexed(self.threads, n, f)
-    }
-}
-
 /// Render a panic payload as a human-readable message. Panics raised with
 /// a string literal or a formatted `String` (the overwhelmingly common
 /// cases) are shown verbatim; anything else gets a placeholder.
@@ -93,59 +65,6 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// The shared fork–join core: run every job under `catch_unwind` and
-/// return each slot as `Ok(result)` or `Err(panic payload)` in index
-/// order. Workers never die mid-sweep — a panicking job is recorded in
-/// its slot and the worker moves on to the next index — so the mutex
-/// around the result slots can never be poisoned by job code.
-fn par_map_impl<T, F>(threads: Threads, n: usize, f: F) -> Vec<Result<T, Box<dyn Any + Send>>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let run = |i: usize| catch_unwind(AssertUnwindSafe(|| f(i)));
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.count().min(n);
-    if workers <= 1 {
-        return (0..n).map(run).collect();
-    }
-
-    let mut slots: Vec<Option<Result<T, Box<dyn Any + Send>>>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let slots = Mutex::new(&mut slots);
-    let next = AtomicUsize::new(0);
-    let run = &run;
-    let slots_ref = &slots;
-    let next_ref = &next;
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = run(i);
-                // Store under a short critical section. The computation ran
-                // outside the lock; contention here is one pointer write per
-                // replication and is immeasurable next to a simulation run.
-                // catch_unwind means job panics cannot poison this mutex;
-                // recover defensively anyway rather than double-panicking.
-                slots_ref.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(result);
-            });
-        }
-    });
-
-    slots
-        .into_inner()
-        .unwrap_or_else(|p| p.into_inner())
-        .iter_mut()
-        .map(|slot| slot.take().expect("every index filled"))
-        .collect()
-}
-
 /// Run `f(i)` for every `i in 0..n`, spreading the calls across worker
 /// threads, and collect the results in index order.
 ///
@@ -153,38 +72,63 @@ where
 /// the output is independent of scheduling — this is how the whole harness
 /// stays deterministic while saturating the machine.
 ///
-/// If any job panics, the remaining jobs still run to completion and the
-/// **first** (lowest-index) panic payload is re-raised on the calling
-/// thread — callers that want to keep the surviving results instead should
-/// use [`par_map_catch`].
+/// Every job runs under `catch_unwind`, so a panicking job never kills its
+/// worker mid-sweep (and can never poison the result mutex): the remaining
+/// jobs still run to completion and the **first** (lowest-index) panic
+/// payload is re-raised on the calling thread. Replications go through
+/// [`par_map_supervised`], which keeps the survivors instead.
 pub fn par_map_indexed<T, F>(threads: Threads, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let run = |i: usize| catch_unwind(AssertUnwindSafe(|| f(i)));
+    let workers = threads.count().min(n);
+    let slots: Vec<Result<T, Box<dyn Any + Send>>> = if workers <= 1 {
+        (0..n).map(run).collect()
+    } else {
+        let mut slots: Vec<Option<Result<T, Box<dyn Any + Send>>>> = Vec::with_capacity(n);
+        slots.resize_with(n, || None);
+        let slots = Mutex::new(&mut slots);
+        let next = AtomicUsize::new(0);
+        let run = &run;
+        let slots_ref = &slots;
+        let next_ref = &next;
+
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(move || loop {
+                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = run(i);
+                    // Store under a short critical section. The computation
+                    // ran outside the lock; contention here is one pointer
+                    // write per replication and is immeasurable next to a
+                    // simulation run. catch_unwind means job panics cannot
+                    // poison this mutex; recover defensively anyway rather
+                    // than double-panicking.
+                    slots_ref.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(result);
+                });
+            }
+        });
+
+        slots
+            .into_inner()
+            .unwrap_or_else(|p| p.into_inner())
+            .iter_mut()
+            .map(|slot| slot.take().expect("every index filled"))
+            .collect()
+    };
     let mut out = Vec::with_capacity(n);
-    for slot in par_map_impl(threads, n, f) {
+    for slot in slots {
         match slot {
             Ok(v) => out.push(v),
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
     out
-}
-
-/// Panic-isolating [`par_map_indexed`]: every job's outcome is returned in
-/// index order as `Ok(result)` or `Err(panic message)`. No panic ever
-/// propagates to the caller, so a single diverging replication turns into
-/// one recorded failure instead of discarding the whole sweep.
-pub fn par_map_catch<T, F>(threads: Threads, n: usize, f: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_impl(threads, n, f)
-        .into_iter()
-        .map(|slot| slot.map_err(|p| panic_message(p.as_ref())))
-        .collect()
 }
 
 /// Supervision policy for watchdog-supervised jobs
@@ -206,6 +150,22 @@ pub struct Watchdog {
     /// long are flagged `slow` in their outcome, for reporting. `None`
     /// disables the flag.
     pub soft_timeout: Option<std::time::Duration>,
+}
+
+impl Watchdog {
+    /// The policy for a panic-retry budget and an optional hard deadline
+    /// in whole seconds. The soft deadline, when a hard deadline is set,
+    /// is half of it, so successful-but-slow attempts get flagged before
+    /// they start timing out. Every layer that turns a `retries` /
+    /// `point_timeout_secs` pair into supervision goes through here.
+    pub fn new(retries: u32, timeout_secs: Option<u64>) -> Watchdog {
+        let timeout = timeout_secs.map(std::time::Duration::from_secs);
+        Watchdog {
+            retries,
+            timeout,
+            soft_timeout: timeout.map(|t| t / 2),
+        }
+    }
 }
 
 /// The supervised outcome of one job index.
@@ -245,6 +205,18 @@ impl<T> JobOutcome<T> {
         }
     }
 
+    /// The result value, or a description of why the job produced none
+    /// (the last panic message, or the abandoned deadline).
+    pub fn into_result(self) -> Result<T, String> {
+        match self {
+            JobOutcome::Ok { value, .. } => Ok(value),
+            JobOutcome::Panicked { message, .. } => Err(message),
+            JobOutcome::TimedOut { attempts } => Err(format!(
+                "timed out: attempt {attempts} outlived the hard deadline"
+            )),
+        }
+    }
+
     /// Attempts made, whatever the outcome.
     pub fn attempts(&self) -> u32 {
         match *self {
@@ -262,10 +234,12 @@ enum Attempt<T> {
     TimedOut,
 }
 
-/// Watchdog-supervised [`par_map_catch`]: run `f(index, attempt)` for
-/// every `i in 0..n` with bounded retry-on-panic and an optional hard
-/// per-attempt deadline, returning per-index [`JobOutcome`]s in index
-/// order.
+/// Run `f(index, attempt)` for every `i in 0..n` under watchdog
+/// supervision — panic isolation, bounded retry-on-panic and an optional
+/// hard per-attempt deadline — returning per-index [`JobOutcome`]s in
+/// index order. With [`Watchdog::default`] every job gets one inline
+/// attempt and a panic becomes [`JobOutcome::Panicked`] in its slot while
+/// its siblings run on.
 ///
 /// The attempt number (0 for the first try) lets the job derive a fresh
 /// salted RNG stream per retry — replaying the exact seed that just
@@ -393,23 +367,21 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_delegates() {
-        let pool = Pool::new(Threads::Sequential);
-        assert_eq!(pool.map(4, |i| i + 1), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn catch_isolates_panics_and_keeps_survivors() {
         for threads in [
             Threads::Sequential,
             Threads::Fixed(NonZeroUsize::new(4).unwrap()),
         ] {
-            let out = par_map_catch(threads, 5, |i| {
-                if i == 2 {
-                    panic!("job {i} diverged");
-                }
-                i * 10
-            });
+            let out: Vec<Result<usize, String>> =
+                par_map_supervised(threads, 5, Watchdog::default(), |i, _| {
+                    if i == 2 {
+                        panic!("job {i} diverged");
+                    }
+                    i * 10
+                })
+                .into_iter()
+                .map(JobOutcome::into_result)
+                .collect();
             assert_eq!(out.len(), 5);
             assert_eq!(out[0], Ok(0));
             assert_eq!(out[1], Ok(10));
@@ -536,6 +508,15 @@ mod tests {
                 slow: true
             }
         );
+    }
+
+    #[test]
+    fn watchdog_new_halves_the_hard_deadline() {
+        assert_eq!(Watchdog::new(0, None), Watchdog::default());
+        let wd = Watchdog::new(2, Some(10));
+        assert_eq!(wd.retries, 2);
+        assert_eq!(wd.timeout, Some(std::time::Duration::from_secs(10)));
+        assert_eq!(wd.soft_timeout, Some(std::time::Duration::from_secs(5)));
     }
 
     #[test]

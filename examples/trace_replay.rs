@@ -9,10 +9,12 @@
 //! cargo run --release -p dtn-experiments --example trace_replay [-- /path/to/file.trace]
 //! ```
 
-use dtn_epidemic::{protocols, simulate, SimConfig, Workload};
+use dtn_epidemic::{protocols, NullProbe, SimConfig};
+use dtn_experiments::{ReplicationPlan, Traces};
 use dtn_mobility::{read_trace_file, write_trace, HaggleParams};
-use dtn_sim::{SimRng, Welford};
+use dtn_sim::{SimRng, Threads, Watchdog, Welford};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn main() {
     let path: PathBuf = match std::env::args().nth(1) {
@@ -30,7 +32,7 @@ fn main() {
     };
 
     let trace = match read_trace_file(&path) {
-        Ok(t) => t,
+        Ok(t) => Arc::new(t),
         Err(e) => {
             eprintln!("trace_replay: cannot load {}: {e}", path.display());
             std::process::exit(1);
@@ -47,7 +49,7 @@ fn main() {
     // The paper's workload at a middling load, averaged over random
     // source/destination pairs.
     let load = 25;
-    let replications = 10u64;
+    let replications = 10;
     println!(
         "\nreplaying load {load} with {replications} random src/dst pairs:\n\
          {:<36} {:>9} {:>10} {:>9} {:>9}",
@@ -58,12 +60,15 @@ fn main() {
         let mut delay = Welford::new();
         let mut buffer = Welford::new();
         let mut dup = Welford::new();
-        let root = SimRng::new(99);
-        for rep in 0..replications {
-            let mut wl_rng = root.derive(rep * 2 + 1);
-            let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-            let config = SimConfig::paper_defaults(protocol.clone());
-            let m = simulate(&trace, &workload, &config, root.derive(rep * 2));
+        let plan = ReplicationPlan {
+            root: SimRng::new(99),
+            load,
+            replications,
+            traces: Traces::Fixed(Arc::clone(&trace)),
+            config: SimConfig::paper_defaults(protocol.clone()),
+        };
+        for outcome in plan.run(Threads::Auto, Watchdog::default(), |_| NullProbe) {
+            let (m, _) = outcome.into_result().expect("replication panicked");
             delivery.push(m.delivery_ratio);
             if let Some(d) = m.delay_secs() {
                 delay.push(d);

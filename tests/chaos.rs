@@ -21,7 +21,6 @@ use proptest::prelude::*;
 use std::io::{Cursor, Write as _};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 fn chaos_cfg() -> SweepConfig {
@@ -47,7 +46,7 @@ fn chaos_jobs(specs: &[&str], loads: &[u32]) -> Vec<PointJob> {
 
 /// Ground truth: the same jobs run fully in-process.
 fn local_fragments(jobs: &[PointJob]) -> Vec<String> {
-    let cache = Arc::new(TraceCache::new());
+    let cache = TraceCache::new();
     jobs.iter()
         .map(|j| {
             j.run(Threads::Sequential, &cache)

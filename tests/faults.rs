@@ -14,11 +14,28 @@
 use std::num::NonZeroUsize;
 
 use dtn_epidemic::{
-    protocols, simulate, ChurnMode, ChurnPlan, FaultPlan, GilbertElliott, Workload,
+    protocols, simulate, ChurnMode, ChurnPlan, FaultPlan, GilbertElliott, NullProbe, RunMetrics,
+    Workload,
 };
-use dtn_experiments::runner::{aggregate_point_checked, point_sim_config, run_point_raw_cached};
+use dtn_experiments::runner::{
+    aggregate_point_checked, point_sim_config, run_point, run_point_checked_cached,
+};
 use dtn_experiments::{Mobility, SweepConfig, TraceCache};
-use dtn_sim::{par_map_catch, SimRng, Threads};
+use dtn_sim::{SimRng, Threads};
+
+/// Every replication's metrics at one point (all must succeed).
+fn plain_point(
+    protocol: &dtn_epidemic::ProtocolConfig,
+    mobility: Mobility,
+    load: u32,
+    cfg: &SweepConfig,
+    cache: &TraceCache,
+) -> Vec<RunMetrics> {
+    run_point_checked_cached(protocol, mobility, load, cfg, cache)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect()
+}
 
 fn aggressive_plan() -> FaultPlan {
     FaultPlan {
@@ -69,8 +86,8 @@ fn zero_rate_plan_is_bit_identical_to_no_plan() {
         let name = protocol.name;
         let clean = cfg_with(FaultPlan::default(), Threads::Sequential);
         let zeroed = cfg_with(zero_plan.clone(), Threads::Sequential);
-        let a = run_point_raw_cached(&protocol, Mobility::Trace, 10, &clean, &cache);
-        let b = run_point_raw_cached(&protocol, Mobility::Trace, 10, &zeroed, &cache);
+        let a = plain_point(&protocol, Mobility::Trace, 10, &clean, &cache);
+        let b = plain_point(&protocol, Mobility::Trace, 10, &zeroed, &cache);
         assert_eq!(a, b, "zero-rate plan perturbed {name}");
     }
 }
@@ -120,7 +137,7 @@ fn faulted_point_is_thread_invariant() {
     let cache = TraceCache::new();
     let runs = |threads| {
         let cfg = cfg_with(aggressive_plan(), threads);
-        run_point_raw_cached(
+        plain_point(
             &protocols::immunity_epidemic(),
             Mobility::Trace,
             10,
@@ -145,7 +162,7 @@ fn faulted_point_is_thread_invariant() {
 fn aggressive_plan_trips_every_fault_counter() {
     let cache = TraceCache::new();
     let cfg = cfg_with(aggressive_plan(), Threads::Sequential);
-    let runs = run_point_raw_cached(
+    let runs = plain_point(
         &protocols::immunity_epidemic(),
         Mobility::Trace,
         10,
@@ -167,19 +184,22 @@ fn aggressive_plan_trips_every_fault_counter() {
 fn panicking_replication_is_isolated_and_recorded() {
     let cache = TraceCache::new();
     let cfg = cfg_with(FaultPlan::default(), Threads::Auto);
-    let sim_config = point_sim_config(&protocols::pure_epidemic(), Mobility::Trace, &cfg);
-    let root = SimRng::new(cfg.base_seed ^ 10u64 << 32);
-    let outcomes = par_map_catch(cfg.threads, cfg.replications, |rep| {
-        if rep == 1 {
-            panic!("deliberate test panic in replication {rep}");
-        }
-        let rep = rep as u64;
-        let mut wl_rng = root.derive(rep * 2 + 1);
-        let sim_rng = root.derive(rep * 2);
-        let trace = Mobility::Trace.build_cached(cfg.base_seed, rep, &cache);
-        let workload = Workload::single_random_flow(10, trace.node_count(), &mut wl_rng);
-        simulate(&trace, &workload, &sim_config, sim_rng)
-    });
+    let outcomes: Vec<Result<RunMetrics, String>> = run_point(
+        &protocols::pure_epidemic(),
+        Mobility::Trace,
+        10,
+        &cfg,
+        &cache,
+        |r| {
+            if r.rep == 1 {
+                panic!("deliberate test panic in replication {}", r.rep);
+            }
+            NullProbe
+        },
+    )
+    .into_iter()
+    .map(|o| o.into_result().map(|(m, _)| m))
+    .collect();
     assert_eq!(outcomes.len(), 4);
     assert!(outcomes[1]
         .as_ref()
@@ -193,7 +213,7 @@ fn panicking_replication_is_isolated_and_recorded() {
 
     // And the surviving replications are bit-identical to a panic-free
     // run of the same point.
-    let clean = run_point_raw_cached(
+    let clean = plain_point(
         &protocols::pure_epidemic(),
         Mobility::Trace,
         10,

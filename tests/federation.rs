@@ -17,7 +17,6 @@ use dtn_service::{
 };
 use dtn_sim::Threads;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 fn fed_cfg(replications: usize) -> SweepConfig {
@@ -43,7 +42,7 @@ fn fed_jobs(specs: &[&str], loads: &[u32], replications: usize) -> Vec<PointJob>
 
 /// Ground truth: the same jobs run fully in-process.
 fn local_fragments(jobs: &[PointJob]) -> Vec<String> {
-    let cache = Arc::new(TraceCache::new());
+    let cache = TraceCache::new();
     jobs.iter()
         .map(|j| {
             j.run(Threads::Sequential, &cache)

@@ -273,7 +273,7 @@ fn gateway_sweep_streams_verbatim_fragments_and_a_report_byte_identical_to_local
     let points = grid_point_jobs(mobility, &cfg).expect("grid");
 
     // Local ground truth: fragments and the assembled canonical report.
-    let cache = Arc::new(TraceCache::new());
+    let cache = TraceCache::new();
     let outcomes: Vec<PointOutcome> = points
         .iter()
         .map(|p| p.job.run(Threads::Sequential, &cache).expect("local run"))
@@ -542,7 +542,7 @@ fn the_janitor_bounds_the_cache_and_survivors_replay_verbatim_after_restart() {
                 .map(|load| PointJob::from_sweep(*spec, Mobility::Interval(2000), *load, &cfg))
         })
         .collect();
-    let local_cache = Arc::new(TraceCache::new());
+    let local_cache = TraceCache::new();
     let local: Vec<String> = jobs
         .iter()
         .map(|j| {

@@ -19,7 +19,7 @@
 //! and paste the printed constants over the `GOLDEN_*` values below.
 
 use dtn_epidemic::{protocols, ProtocolConfig, RunMetrics};
-use dtn_experiments::{run_point_raw, Mobility, SweepConfig};
+use dtn_experiments::{run_point_checked_cached, Mobility, SweepConfig, TraceCache};
 use dtn_sim::Threads;
 
 const LOAD: u32 = 20;
@@ -75,14 +75,15 @@ fn protocol_fingerprint(protocol: &ProtocolConfig) -> String {
     let cfg = pinned_config();
     let mut out = String::new();
     for mobility in MOBILITIES {
-        for (rep, m) in run_point_raw(protocol, mobility, LOAD, &cfg)
-            .iter()
+        for (rep, m) in run_point_checked_cached(protocol, mobility, LOAD, &cfg, &TraceCache::new())
+            .into_iter()
+            .map(Result::unwrap)
             .enumerate()
         {
             out.push_str(&format!(
                 "{} r{rep}: {}\n",
                 mobility.label(),
-                fingerprint(m)
+                fingerprint(&m)
             ));
         }
     }

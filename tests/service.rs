@@ -18,7 +18,6 @@ use dtn_service::wire::{read_frame, write_frame};
 use dtn_service::{Client, Daemon, DaemonConfig};
 use dtn_sim::Threads;
 use std::net::TcpStream;
-use std::sync::Arc;
 
 fn test_config() -> SweepConfig {
     SweepConfig {
@@ -53,7 +52,7 @@ fn daemon_results_are_bit_identical_to_local_runs_and_cache_hits_replay_them() {
     let jobs = test_jobs();
 
     // Local ground truth, computed entirely in-process.
-    let local_cache = Arc::new(TraceCache::new());
+    let local_cache = TraceCache::new();
     let local: Vec<String> = jobs
         .iter()
         .map(|j| {

@@ -18,19 +18,13 @@ use dtn_epidemic::{
     protocols, replay_jsonl, replay_metrics, simulate, simulate_probed, ChurnMode, ChurnPlan,
     Event, FaultPlan, GilbertElliott, MemoryProbe, SimConfig, Workload,
 };
-use dtn_experiments::{run_point_traced, Mobility, SweepConfig, TraceCache};
-use dtn_sim::{SimDuration, SimRng, Threads};
+use dtn_experiments::{run_point, Mobility, SweepConfig, TraceCache};
+use dtn_sim::{SimRng, Threads};
 
 fn scenario_config(protocol: dtn_epidemic::ProtocolConfig) -> SimConfig {
     SimConfig {
-        protocol,
-        buffer_capacity: 10,
-        tx_time: SimDuration::from_secs(100),
-        ack_slot_cost: 0.1,
         transfer_loss_prob: 0.05,
-        bundle_bytes: 10_000_000,
-        ack_record_bytes: 16,
-        faults: FaultPlan::default(),
+        ..SimConfig::paper_defaults(protocol)
     }
 }
 
@@ -183,14 +177,17 @@ fn event_stream_is_byte_identical_across_thread_policies() {
             ..SweepConfig::default()
         };
         let cache = TraceCache::new();
-        let runs = run_point_traced(
+        let runs = run_point(
             &protocols::cumulative_immunity_epidemic(),
             Mobility::Trace,
             10,
             &cfg,
             &cache,
+            |_| dtn_epidemic::JsonlProbe::new(),
         );
-        runs.into_iter().map(|(_, jsonl)| jsonl).collect::<String>()
+        runs.into_iter()
+            .map(|o| o.value().expect("replication failed").1.into_jsonl())
+            .collect::<String>()
     };
 
     let sequential = capture(Threads::Sequential);

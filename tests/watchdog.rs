@@ -17,8 +17,7 @@
 use std::sync::Arc;
 
 use dtn_experiments::{
-    run_robustness, run_robustness_watched, InjectHook, Mobility, PointReport, Reporter,
-    SweepConfig, Verbosity,
+    run_robustness, InjectHook, Mobility, PointReport, Reporter, SweepConfig, Verbosity,
 };
 use dtn_sim::Threads;
 
@@ -87,14 +86,14 @@ fn assert_point_identical(a: &PointReport, b: &PointReport, why: &str) {
 /// to the clean, unsupervised run.
 #[test]
 fn panicking_point_is_retried_and_siblings_stay_bit_identical() {
-    let clean = run_robustness(MOBILITY, &cfg(0, None), None, false, &quiet()).unwrap();
+    let clean = run_robustness(MOBILITY, &cfg(0, None), None, false, &quiet(), None).unwrap();
     let hook: InjectHook = Arc::new(|key, rep, attempt| {
         if key == "churn=none,loss=clean|Pure epidemic|5" && rep == 1 && attempt < 2 {
             panic!("injected panic on attempt {attempt}");
         }
     });
     let watched =
-        run_robustness_watched(MOBILITY, &cfg(2, None), None, false, &quiet(), Some(hook)).unwrap();
+        run_robustness(MOBILITY, &cfg(2, None), None, false, &quiet(), Some(hook)).unwrap();
 
     assert_eq!(clean.points.len(), watched.points.len());
     let mut targets = 0;
@@ -127,7 +126,7 @@ fn exhausted_retries_record_the_panic() {
         }
     });
     let watched =
-        run_robustness_watched(MOBILITY, &cfg(1, None), None, false, &quiet(), Some(hook)).unwrap();
+        run_robustness(MOBILITY, &cfg(1, None), None, false, &quiet(), Some(hook)).unwrap();
     let point = watched
         .points
         .iter()
@@ -145,7 +144,7 @@ fn exhausted_retries_record_the_panic() {
 /// replication or any other grid point.
 #[test]
 fn hung_replication_times_out_without_poisoning_siblings() {
-    let clean = run_robustness(MOBILITY, &cfg(0, None), None, false, &quiet()).unwrap();
+    let clean = run_robustness(MOBILITY, &cfg(0, None), None, false, &quiet(), None).unwrap();
     let hook: InjectHook = Arc::new(|key, rep, _attempt| {
         if key == "churn=none,loss=lossy|Pure epidemic|5" && rep == 0 {
             // Far past the 5 s hard deadline; the watchdog abandons the
@@ -153,7 +152,7 @@ fn hung_replication_times_out_without_poisoning_siblings() {
             std::thread::sleep(std::time::Duration::from_secs(120));
         }
     });
-    let watched = run_robustness_watched(
+    let watched = run_robustness(
         MOBILITY,
         &cfg(0, Some(5)),
         None,
@@ -189,11 +188,10 @@ fn supervised_sweep_is_deterministic() {
             }
         })
     };
-    let once = run_robustness_watched(MOBILITY, &cfg(3, None), None, false, &quiet(), Some(hook()))
-        .unwrap();
+    let once =
+        run_robustness(MOBILITY, &cfg(3, None), None, false, &quiet(), Some(hook())).unwrap();
     let twice =
-        run_robustness_watched(MOBILITY, &cfg(3, None), None, false, &quiet(), Some(hook()))
-            .unwrap();
+        run_robustness(MOBILITY, &cfg(3, None), None, false, &quiet(), Some(hook())).unwrap();
     assert_eq!(once.points.len(), twice.points.len());
     for (a, b) in once.points.iter().zip(&twice.points) {
         assert_point_identical(a, b, "supervised rerun diverged");
@@ -211,11 +209,11 @@ fn resume_skips_simulation_for_checkpointed_points() {
     let ckpt = dir.join("grid.ckpt");
     let config = cfg(1, None);
 
-    let fresh = run_robustness(MOBILITY, &config, Some(&ckpt), false, &quiet()).unwrap();
+    let fresh = run_robustness(MOBILITY, &config, Some(&ckpt), false, &quiet(), None).unwrap();
     let tripwire: InjectHook = Arc::new(|key, rep, _attempt| {
         panic!("resume re-simulated {key} rep {rep}");
     });
-    let resumed = run_robustness_watched(
+    let resumed = run_robustness(
         MOBILITY,
         &config,
         Some(&ckpt),
