@@ -251,6 +251,22 @@ impl FaultInjector {
         }
     }
 
+    /// An injector whose only fault is the given churn schedule, for
+    /// tests that need flips at exact times.
+    #[cfg(test)]
+    pub(crate) fn with_churn_schedule(
+        mode: ChurnMode,
+        node_count: usize,
+        schedule: Vec<ChurnTransition>,
+    ) -> FaultInjector {
+        FaultInjector {
+            mode: Some(mode),
+            up: vec![true; node_count],
+            schedule,
+            ..FaultInjector::disabled()
+        }
+    }
+
     /// The pre-generated churn flips (empty without churn). The driver
     /// schedules these as events before the run starts.
     pub fn schedule(&self) -> &[ChurnTransition] {

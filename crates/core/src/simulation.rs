@@ -4,7 +4,8 @@
 //! [`SimConfig`] into the `dtn-sim` engine and runs to completion:
 //!
 //! * every contact becomes a `Contact` event at its start time, handled by
-//!   [`crate::session::run_contact`];
+//!   [`crate::session::run_contact`]; the sorted trace streams through the
+//!   engine in place rather than being copied into its queue;
 //! * flow creation events inject origin copies at sources;
 //! * copy expiry is event-driven: whenever a node's earliest finite expiry
 //!   changes, an `ExpiryCheck` is (re)scheduled, so the time-weighted
@@ -289,13 +290,24 @@ pub fn simulate_probed<P: Probe>(
     config
         .validate()
         .unwrap_or_else(|err| panic!("invalid SimConfig: {err}"));
-    let node_count = trace.node_count();
     // The injector derives its private RNG streams from (a copy of) the
     // replication seed before the base rng moves into the simulator; with
     // an all-zero plan this is a draw-free no-op and the base stream is
     // untouched, keeping un-faulted runs bit-identical to older builds.
-    let faults = FaultInjector::for_run(&config.faults, node_count, trace.horizon(), &rng);
+    let faults = FaultInjector::for_run(&config.faults, trace.node_count(), trace.horizon(), &rng);
+    run_replication(trace, workload, config, rng, probe, faults)
+}
 
+/// The run itself, with the fault injector already built.
+fn run_replication<P: Probe>(
+    trace: &ContactTrace,
+    workload: &Workload,
+    config: &SimConfig,
+    rng: SimRng,
+    probe: &mut P,
+    faults: FaultInjector,
+) -> RunMetrics {
+    let node_count = trace.node_count();
     let immunity_template = match config.protocol.ack {
         AckScheme::None => None,
         AckScheme::PerBundle => Some(ImmunityStore::per_bundle()),
@@ -324,11 +336,12 @@ pub fn simulate_probed<P: Probe>(
 
     let mut engine = Engine::with_capacity(
         trace.horizon(),
-        trace.len() + workload.flows().len() + faults.schedule().len(),
+        workload.flows().len() + faults.schedule().len(),
     );
     // Churn transitions are scheduled first: equal-time events fire in
-    // scheduling order, so a node going down at t also kills a contact
-    // starting at t.
+    // scheduling order, and the contact stream ranks after everything
+    // scheduled before the run, so a node going down at t also kills a
+    // contact starting at t.
     for tr in faults.schedule() {
         let ev = if tr.up {
             Ev::NodeUp(tr.node)
@@ -340,10 +353,6 @@ pub fn simulate_probed<P: Probe>(
     for (i, flow) in workload.flows().iter().enumerate() {
         engine.schedule(flow.created_at, Ev::CreateFlow(i as u32));
     }
-    for (i, c) in trace.contacts().iter().enumerate() {
-        engine.schedule(c.start, Ev::Contact(i as u32));
-    }
-
     let mut sim = Sim {
         trace,
         workload,
@@ -357,7 +366,15 @@ pub fn simulate_probed<P: Probe>(
         probe,
         faults,
     };
-    engine.run(&mut sim);
+    // The trace is already sorted by start time, so it streams through
+    // the run loop in place; a run that completes early never reads the
+    // rest of it.
+    let contacts = trace
+        .contacts()
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.start, Ev::Contact(i as u32)));
+    engine.run_stream(contacts, &mut sim);
 
     let end = sim.metrics.completion_time().unwrap_or(trace.horizon());
     sim.metrics.finish(end)
@@ -367,6 +384,8 @@ pub fn simulate_probed<P: Probe>(
 mod tests {
     use super::*;
     use crate::bundle::Workload;
+    use crate::faults::{ChurnMode, ChurnTransition};
+    use crate::probe::MemoryProbe;
     use crate::protocols;
     use dtn_mobility::{parse_trace_str, NodeId};
     use dtn_sim::SimDuration;
@@ -698,6 +717,127 @@ mod tests {
         );
         assert!(m.delivered > 0, "some staggered traffic must arrive");
         assert!(m.delivered <= m.total_bundles);
+    }
+
+    fn flip(secs: u64, node: u16, up: bool) -> ChurnTransition {
+        ChurnTransition {
+            at: SimTime::from_secs(secs),
+            node,
+            up,
+        }
+    }
+
+    /// Pure epidemic under a hand-written duty-cycle churn schedule; the
+    /// metrics and the probe stream.
+    fn run_with_churn(
+        trace: &ContactTrace,
+        w: &Workload,
+        schedule: Vec<ChurnTransition>,
+    ) -> (RunMetrics, Vec<Event>) {
+        let faults =
+            FaultInjector::with_churn_schedule(ChurnMode::DutyCycle, trace.node_count(), schedule);
+        let mut probe = MemoryProbe::default();
+        let config = cfg(protocols::pure_epidemic());
+        let m = run_replication(trace, w, &config, SimRng::new(1), &mut probe, faults);
+        (m, probe.events)
+    }
+
+    #[test]
+    fn node_down_at_a_contact_start_skips_the_contact() {
+        // Churn flips are scheduled before the run and the contact stream
+        // ranks after them, so node 1 is already down when its contact
+        // starting at the same instant fires.
+        let trace = parse_trace_str("% nodes 2\n% horizon 10000\n0 1 100 500\n").unwrap();
+        let w = Workload::single_flow(NodeId(0), NodeId(1), 1, 2);
+        let (m, events) = run_with_churn(&trace, &w, vec![flip(100, 1, false), flip(600, 1, true)]);
+        assert_eq!(m.contacts_skipped, 1);
+        assert_eq!(m.contacts_processed, 0);
+        assert_eq!(m.delivered, 0);
+        let at_100: Vec<Event> = events
+            .into_iter()
+            .filter(|e| e.time_ms() == 100_000)
+            .collect();
+        assert!(
+            matches!(
+                at_100[..],
+                [
+                    Event::FaultDown { node: 1, .. },
+                    Event::ContactSkipped { a: 0, b: 1, .. }
+                ]
+            ),
+            "{at_100:?}"
+        );
+    }
+
+    #[test]
+    fn expiry_due_at_a_contact_start_fires_after_the_contact() {
+        // Relay 1's copy is stored at t = 100 and expires at 100 + 300 =
+        // 400, exactly when 1 meets the destination. The pending
+        // ExpiryCheck was scheduled during the run, so the contact fires
+        // first and its own expiry purge drops the copy after the session
+        // has begun.
+        let trace =
+            parse_trace_str("% nodes 3\n% horizon 10000\n0 1 100 300\n1 2 400 600\n").unwrap();
+        let w = Workload::single_flow(NodeId(0), NodeId(2), 1, 3);
+        let config = cfg(protocols::ttl_epidemic(SimDuration::from_secs(300)));
+        let mut probe = MemoryProbe::default();
+        let m = simulate_probed(&trace, &w, &config, SimRng::new(1), &mut probe);
+        assert_eq!(m.expirations, 1);
+        assert_eq!(m.delivered, 0);
+        let at_400: Vec<Event> = probe
+            .events
+            .into_iter()
+            .filter(|e| e.time_ms() == 400_000)
+            .collect();
+        assert!(
+            matches!(
+                at_400[..],
+                [
+                    Event::ContactBegin { a: 1, b: 2, .. },
+                    Event::Drop {
+                        node: 1,
+                        reason: DropReason::Expired,
+                        ..
+                    },
+                    ..
+                ]
+            ),
+            "{at_400:?}"
+        );
+    }
+
+    #[test]
+    fn zero_contact_trace_runs_to_the_horizon() {
+        let trace = parse_trace_str("% nodes 3\n% horizon 5000\n").unwrap();
+        assert!(trace.is_empty());
+        let w = Workload::single_flow(NodeId(0), NodeId(2), 2, 3);
+        let m = simulate(&trace, &w, &cfg(protocols::pure_epidemic()), SimRng::new(1));
+        assert_eq!(m.contacts_processed, 0);
+        assert_eq!(m.delivered, 0);
+        assert_eq!(m.completion_time, None);
+        assert_eq!(m.end_time, SimTime::from_secs(5000));
+    }
+
+    #[test]
+    fn churn_flip_then_flow_arrival_then_contact_at_time_zero() {
+        // All three sources at t = 0 fire in (time, seq) order: churn flips
+        // are scheduled first, flow arrivals next, and the contact stream
+        // ranks after everything scheduled before the run.
+        let trace = parse_trace_str("% nodes 3\n% horizon 10000\n0 1 0 300\n").unwrap();
+        let w = Workload::single_flow(NodeId(0), NodeId(1), 1, 3);
+        let (m, events) = run_with_churn(&trace, &w, vec![flip(0, 1, false)]);
+        assert!(
+            matches!(
+                events[..],
+                [
+                    Event::FaultDown { node: 1, t: 0 },
+                    Event::Store { node: 0, t: 0, .. },
+                    Event::ContactSkipped { a: 0, b: 1, t: 0 }
+                ]
+            ),
+            "{events:?}"
+        );
+        assert_eq!(m.contacts_skipped, 1);
     }
 
     #[test]

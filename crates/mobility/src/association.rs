@@ -39,9 +39,9 @@ fn malformed(line: usize, reason: impl Into<String>) -> TraceError {
 
 /// Parse an association log into a contact trace.
 pub fn parse_association_log<R: BufRead>(reader: R) -> Result<ContactTrace, TraceError> {
-    let mut ap_ids: HashMap<String, usize> = HashMap::new();
+    let mut ap_ids: HashMap<String, u32> = HashMap::new();
     // Per node: currently-open association (ap index, since).
-    let mut open: HashMap<u16, (usize, SimTime)> = HashMap::new();
+    let mut open: HashMap<u16, (u32, SimTime)> = HashMap::new();
     let mut last_event: HashMap<u16, SimTime> = HashMap::new();
     let mut visits: Vec<Visit> = Vec::new();
     let mut declared_horizon: Option<SimTime> = None;
@@ -51,7 +51,7 @@ pub fn parse_association_log<R: BufRead>(reader: R) -> Result<ContactTrace, Trac
 
     let close = |node: u16,
                  at: SimTime,
-                 open: &mut HashMap<u16, (usize, SimTime)>,
+                 open: &mut HashMap<u16, (u32, SimTime)>,
                  visits: &mut Vec<Visit>| {
         if let Some((ap, since)) = open.remove(&node) {
             if at > since {
@@ -131,7 +131,8 @@ pub fn parse_association_log<R: BufRead>(reader: R) -> Result<ContactTrace, Trac
         // Any event terminates the node's previous association.
         close(node, t, &mut open, &mut visits);
         if ap_raw != "OFF" {
-            let next_id = ap_ids.len();
+            let next_id = u32::try_from(ap_ids.len())
+                .map_err(|_| malformed(line_no, "too many access points"))?;
             let ap = *ap_ids.entry(ap_raw.to_string()).or_insert(next_id);
             open.insert(node, (ap, t));
         }

@@ -72,7 +72,7 @@ impl Default for SubscriberParams {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Visit {
     pub(crate) node: NodeId,
-    pub(crate) point: usize,
+    pub(crate) point: u32,
     pub(crate) arrive: SimTime,
     pub(crate) depart: SimTime,
 }
@@ -96,6 +96,32 @@ impl SubscriberParams {
     /// Generate the contact trace.
     pub fn generate(&self, rng: &mut SimRng) -> ContactTrace {
         self.validate();
+        let contacts = self.point_contacts(self.walk(rng));
+        ContactTrace::new(self.nodes, self.horizon, contacts)
+            .expect("generator upholds trace invariants")
+    }
+
+    /// Contacts: pairwise presence overlaps at the same point, in exactly
+    /// the order [`co_location_contacts`] yields them. Grouping by point is
+    /// linear; within a point `(arrive, node)` is unique (each node's
+    /// arrivals strictly increase), so an unstable per-point sort matches
+    /// the general path's global stable sort.
+    fn point_contacts(&self, visits: Vec<Visit>) -> Vec<Contact> {
+        let (mut visits, lens) = group_by_point(visits, self.points);
+        let mut contacts = Vec::new();
+        let mut rest = &mut visits[..];
+        for len in lens {
+            let (group, tail) = rest.split_at_mut(len);
+            group.sort_unstable_by_key(|v| (v.arrive, v.node));
+            sweep_group(group, self.contact_cap, self.horizon, &mut contacts);
+            rest = tail;
+        }
+        contacts
+    }
+
+    /// Walk each node through pause/travel cycles, recording its visits:
+    /// node-major, each node's visits in arrival order.
+    fn walk(&self, rng: &mut SimRng) -> Vec<Visit> {
         // Place the points.
         let points: Vec<(f64, f64)> = (0..self.points)
             .map(|_| {
@@ -106,7 +132,6 @@ impl SubscriberParams {
             })
             .collect();
 
-        // Walk each node through pause/travel cycles, recording visits.
         let mut visits: Vec<Visit> = Vec::new();
         for n in 0..self.nodes as u16 {
             let mut t = SimTime::ZERO;
@@ -116,24 +141,16 @@ impl SubscriberParams {
                 let depart = (t + pause).min(self.horizon);
                 visits.push(Visit {
                     node: NodeId(n),
-                    point: here,
+                    point: here as u32,
                     arrive: t,
                     depart,
                 });
                 if depart >= self.horizon {
                     break;
                 }
-                let next = if self.points == 1 {
-                    here
-                } else {
-                    // Random *other* point.
-                    let r = rng.below(self.points as u64 - 1) as usize;
-                    if r >= here {
-                        r + 1
-                    } else {
-                        r
-                    }
-                };
+                // Random *other* point.
+                let r = rng.below(self.points as u64 - 1) as usize;
+                let next = if r >= here { r + 1 } else { r };
                 let (x0, y0) = points[here];
                 let (x1, y1) = points[next];
                 let dist = ((x1 - x0).powi(2) + (y1 - y0).powi(2)).sqrt().max(1.0);
@@ -143,16 +160,41 @@ impl SubscriberParams {
                 here = next;
             }
         }
-
-        // Contacts: pairwise presence overlaps at the same point.
-        let contacts = co_location_contacts(&mut visits, self.contact_cap, self.horizon);
-        ContactTrace::new(self.nodes, self.horizon, contacts)
-            .expect("generator upholds trace invariants")
+        visits
     }
 }
 
+/// Group `visits` by point with a counting sort: one scatter into an
+/// exactly sized buffer, points in ascending order, each point's visits in
+/// their original relative order. Returns the grouped visits and every
+/// point's group length.
+fn group_by_point(visits: Vec<Visit>, points: usize) -> (Vec<Visit>, Vec<usize>) {
+    let mut lens = vec![0usize; points];
+    for v in &visits {
+        lens[v.point as usize] += 1;
+    }
+    // `next[p]`: where the next visit at point p goes.
+    let mut next = Vec::with_capacity(points);
+    let mut start = 0;
+    for &len in &lens {
+        next.push(start);
+        start += len;
+    }
+    let Some(&first) = visits.first() else {
+        return (visits, lens);
+    };
+    let mut grouped = vec![first; visits.len()];
+    for v in visits {
+        let slot = &mut next[v.point as usize];
+        grouped[*slot] = v;
+        *slot += 1;
+    }
+    (grouped, lens)
+}
+
 /// Convert point visits into pairwise contacts: every overlap of two
-/// different nodes' stays at the same point, clamped to `cap`.
+/// different nodes' stays at the same point, clamped to `cap`. The general
+/// path, for visits in any order (association logs may repeat a key).
 pub(crate) fn co_location_contacts(
     visits: &mut [Visit],
     cap: SimDuration,
@@ -168,25 +210,29 @@ pub(crate) fn co_location_contacts(
         while group_end < visits.len() && visits[group_end].point == point {
             group_end += 1;
         }
-        let group = &visits[group_start..group_end];
-        for (i, va) in group.iter().enumerate() {
-            for vb in &group[i + 1..] {
-                if vb.arrive >= va.depart {
-                    break; // arrivals are sorted; nothing later overlaps va
-                }
-                if va.node == vb.node {
-                    continue;
-                }
-                let start = va.arrive.max(vb.arrive);
-                let end = va.depart.min(vb.depart).min(start + cap).min(horizon);
-                if end > start {
-                    contacts.push(Contact::new(va.node, vb.node, start, end));
-                }
-            }
-        }
+        sweep_group(&visits[group_start..group_end], cap, horizon, &mut contacts);
         group_start = group_end;
     }
     contacts
+}
+
+/// Append the contacts of one point's visits, sorted by arrival.
+fn sweep_group(group: &[Visit], cap: SimDuration, horizon: SimTime, contacts: &mut Vec<Contact>) {
+    for (i, va) in group.iter().enumerate() {
+        for vb in &group[i + 1..] {
+            if vb.arrive >= va.depart {
+                break; // arrivals are sorted; nothing later overlaps va
+            }
+            if va.node == vb.node {
+                continue;
+            }
+            let start = va.arrive.max(vb.arrive);
+            let end = va.depart.min(vb.depart).min(start + cap).min(horizon);
+            if end > start {
+                contacts.push(Contact::new(va.node, vb.node, start, end));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -227,7 +273,7 @@ mod tests {
 
     #[test]
     fn co_location_requires_same_point_and_overlap() {
-        let mk = |node: u16, point: usize, arrive: u64, depart: u64| Visit {
+        let mk = |node: u16, point: u32, arrive: u64, depart: u64| Visit {
             node: NodeId(node),
             point,
             arrive: SimTime::from_secs(arrive),
@@ -270,7 +316,7 @@ mod tests {
 
     #[test]
     fn same_node_repeat_visits_do_not_self_contact() {
-        let mk = |point: usize, arrive: u64, depart: u64| Visit {
+        let mk = |point: u32, arrive: u64, depart: u64| Visit {
             node: NodeId(0),
             point,
             arrive: SimTime::from_secs(arrive),
@@ -306,6 +352,33 @@ mod tests {
             n_few > n_many,
             "5 points: {n_few} contacts; 80 points: {n_many}"
         );
+    }
+
+    #[test]
+    fn point_grouping_matches_the_global_sort() {
+        // The general path (one stable sort of every visit by point,
+        // arrival, node) is the reference: the per-point grouping must
+        // reproduce its contact list exactly, order included.
+        for points in [2, 5, 30, 99] {
+            for pause_secs in [1, 300, 999] {
+                let params = SubscriberParams {
+                    points,
+                    pause_max: SimDuration::from_secs(pause_secs),
+                    horizon: SimTime::from_secs(20_000),
+                    ..SubscriberParams::default()
+                };
+                for seed in 0..200 {
+                    let mut visits = params.walk(&mut SimRng::new(seed));
+                    let grouped = params.point_contacts(visits.clone());
+                    let reference =
+                        co_location_contacts(&mut visits, params.contact_cap, params.horizon);
+                    assert_eq!(
+                        grouped, reference,
+                        "points {points}, pause_max {pause_secs} s, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

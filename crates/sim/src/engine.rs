@@ -9,13 +9,19 @@
 //!   builds and clamps to "now" in release builds);
 //! * events at equal times fire in scheduling order (see
 //!   [`crate::events::EventQueue`]);
+//! * a presorted stream handed to [`Engine::run_stream`] fires exactly as
+//!   if it had been scheduled, in order, when the run began: at equal
+//!   times, events scheduled before the run fire first, then the stream's
+//!   events in stream order, then events the handler schedules during the
+//!   run;
 //! * the run stops at the configured horizon, after a configured event
 //!   budget, or when the handler requests an early stop — whichever comes
-//!   first.
+//!   first. A stream is read at most one event ahead of the run, so what
+//!   lies past the stopping point is never touched.
 //!
 //! The epidemic simulation in `dtn-epidemic` drives one `Engine` per
-//! replication; replications are independent and are fanned out across
-//! threads by [`crate::parallel`].
+//! replication, with the contact trace as the stream; replications are
+//! independent and are fanned out across threads by [`crate::parallel`].
 
 use crate::events::EventQueue;
 use crate::time::SimTime;
@@ -116,7 +122,7 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Pre-reserve queue capacity (e.g. the trace length).
+    /// Pre-reserve queue capacity (e.g. the number of pre-run events).
     pub fn with_capacity(horizon: SimTime, capacity: usize) -> Self {
         Engine {
             queue: EventQueue::with_capacity(capacity),
@@ -144,7 +150,8 @@ impl<E> Engine<E> {
         self.events_processed
     }
 
-    /// Number of still-pending events.
+    /// Number of still-pending queued events (a stream's unread events
+    /// are not counted).
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -159,17 +166,49 @@ impl<E> Engine<E> {
     /// Drive the simulation to completion, dispatching every event to
     /// `handler`.
     pub fn run<H: Handler<E>>(&mut self, handler: &mut H) -> StopReason {
+        self.run_stream(std::iter::empty(), handler)
+    }
+
+    /// [`Engine::run`] with a second event source: `stream`, sorted by
+    /// time, is merged into the queue's order as if every one of its
+    /// events had been scheduled, in order, when this call began. So at
+    /// equal times the events queued before the call fire first, then the
+    /// stream's, then those the handler schedules. The stream is read
+    /// lazily, at most one event ahead of the run. A stream that goes back
+    /// in time is a caller bug (debug builds panic).
+    pub fn run_stream<I, H>(&mut self, stream: I, handler: &mut H) -> StopReason
+    where
+        I: IntoIterator<Item = (SimTime, E)>,
+        H: Handler<E>,
+    {
+        let stream_seq = self.queue.reserve_seq();
+        let mut stream = stream.into_iter().peekable();
         loop {
-            match self.queue.peek_time() {
-                None => return StopReason::Exhausted,
-                Some(t) if t > self.horizon => return StopReason::Horizon,
-                Some(_) => {}
+            let (next, from_stream) = match (self.queue.peek_key(), stream.peek()) {
+                (None, None) => return StopReason::Exhausted,
+                (Some((t, _)), None) => (t, false),
+                (None, Some(&(t, _))) => (t, true),
+                (Some(queued), Some(&(t, _))) => {
+                    if (t, stream_seq) < queued {
+                        (t, true)
+                    } else {
+                        (queued.0, false)
+                    }
+                }
+            };
+            if next > self.horizon {
+                return StopReason::Horizon;
             }
             if self.events_processed >= self.event_budget {
                 return StopReason::Budget;
             }
-            let (time, event) = self.queue.pop().expect("peeked non-empty");
-            debug_assert!(time >= self.now, "event queue went backwards");
+            let (time, event) = if from_stream {
+                stream.next()
+            } else {
+                self.queue.pop()
+            }
+            .expect("peeked non-empty");
+            debug_assert!(time >= self.now, "event order went backwards");
             self.now = time;
             self.events_processed += 1;
             let mut sched = Scheduler {
@@ -258,6 +297,59 @@ mod tests {
         assert_eq!(reason, StopReason::Handler);
         assert_eq!(count, 4);
         assert_eq!(engine.pending(), 6);
+    }
+
+    #[test]
+    fn stream_ties_rank_between_pre_run_and_run_time_events() {
+        let mut engine = Engine::new(t(100));
+        engine.schedule(t(5), "pre@5");
+        engine.schedule(t(0), "pre@0");
+        let stream = [(t(0), "stream@0"), (t(5), "stream@5"), (t(5), "stream@5b")];
+        let mut fired = Vec::new();
+        engine.run_stream(
+            stream,
+            &mut |_t: SimTime, e: &'static str, sched: &mut Scheduler<'_, &'static str>| {
+                fired.push(e);
+                if e == "pre@0" {
+                    sched.schedule_at(t(5), "run@5");
+                }
+                Flow::Continue
+            },
+        );
+        assert_eq!(
+            fired,
+            [
+                "pre@0",
+                "stream@0",
+                "pre@5",
+                "stream@5",
+                "stream@5b",
+                "run@5"
+            ]
+        );
+    }
+
+    #[test]
+    fn stream_is_read_at_most_one_event_ahead() {
+        let mut engine = Engine::new(t(1_000));
+        let mut pulled = 0;
+        let stream = (0..1_000).map(|i| {
+            pulled += 1;
+            (t(i), i)
+        });
+        let reason = engine.run_stream(
+            stream,
+            &mut |_t: SimTime, e: u64, _: &mut Scheduler<'_, u64>| {
+                if e == 9 {
+                    Flow::Stop
+                } else {
+                    Flow::Continue
+                }
+            },
+        );
+        assert_eq!(reason, StopReason::Handler);
+        assert_eq!(engine.events_processed(), 10);
+        assert_eq!(pulled, 10);
     }
 
     #[test]

@@ -5,17 +5,22 @@
 //! insertion, which makes the queue *stable*: events scheduled for the same
 //! instant are delivered in the order they were scheduled. Stability matters
 //! for determinism — the paper's simulator processes a trace "event by
-//! event", and simultaneous contact starts must not be reordered between
-//! runs or platforms.
+//! event", and simultaneous events must not be reordered between runs or
+//! platforms.
+//!
+//! The contact trace itself does not pass through this queue: it is
+//! already sorted, so [`crate::Engine::run_stream`] reads it in place and
+//! merges it with the queue, ranking the whole stream at a sequence number
+//! it claims with [`EventQueue::reserve_seq`]. A replication that stops
+//! early therefore never touches the contacts it does not reach.
 //!
 //! # Two-tier layout
 //!
-//! DES workloads here are overwhelmingly *static*: the whole contact trace
-//! and every flow arrival are scheduled before the first event fires, and
-//! only a trickle of expiry checks is scheduled at run time. A binary heap
-//! makes every one of those static events pay `O(log n)` twice (push and
-//! pop) over pointer-chasing sift paths; profiling showed `BinaryHeap::pop`
-//! alone eating ~40% of a sweep. So the queue is split:
+//! What the queue does hold is mostly *static*: churn transitions and flow
+//! arrivals are scheduled before the first event fires, and only a trickle
+//! of expiry checks is scheduled at run time. A binary heap makes every one
+//! of those static events pay `O(log n)` twice (push and pop) over
+//! pointer-chasing sift paths. So the queue is split:
 //!
 //! * everything scheduled before the first pop lands in a plain vector that
 //!   is sorted **once** (descending, so earliest pops from the back in
@@ -94,8 +99,7 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue with pre-reserved capacity (use when the number of
-    /// trace events is known up front to avoid re-allocation in the hot
-    /// loop).
+    /// pre-run events is known up front to avoid re-allocation).
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             batch: Vec::with_capacity(capacity),
@@ -115,6 +119,16 @@ impl<E> EventQueue<E> {
         } else {
             self.batch.push(entry);
         }
+    }
+
+    /// Claim the next sequence number without queueing anything. A caller
+    /// that merges its own time-sorted stream with this queue ranks the
+    /// whole stream at this position: after every event scheduled so far,
+    /// before every event scheduled later.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Sort the static batch (earliest at the back) and freeze it; later
@@ -162,12 +176,18 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.peek_key().map(|(time, _)| time)
+    }
+
+    /// The `(time, seq)` key of the earliest pending event.
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         self.seal();
-        if self.batch_first() {
-            self.batch.last().map(|s| s.time)
+        let head = if self.batch_first() {
+            self.batch.last()
         } else {
-            self.overflow.peek().map(|s| s.time)
-        }
+            self.overflow.peek()
+        };
+        head.map(|s| (s.time, s.seq))
     }
 
     /// Number of pending events.
@@ -272,6 +292,18 @@ mod tests {
         assert_eq!(q.pop(), Some((t(30), "dyn@30")));
         assert_eq!(q.pop(), Some((t(40), "dyn@40")));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn reserved_seq_ranks_between_earlier_and_later_events() {
+        let mut q = EventQueue::new();
+        q.schedule(t(5), "before");
+        let reserved = q.reserve_seq();
+        assert_eq!(q.len(), 1, "reserving queues nothing");
+        assert!(q.peek_key().unwrap() < (t(5), reserved));
+        q.pop();
+        q.schedule(t(5), "after");
+        assert!(q.peek_key().unwrap() > (t(5), reserved));
     }
 
     #[test]

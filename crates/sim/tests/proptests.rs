@@ -4,7 +4,7 @@ use dtn_sim::{
     events::EventQueue,
     par_map_indexed,
     stats::{mean, Histogram, TimeWeighted, Welford},
-    SimDuration, SimRng, SimTime, Threads,
+    Engine, Flow, Scheduler, SimDuration, SimRng, SimTime, StopReason, Threads,
 };
 use proptest::prelude::*;
 
@@ -25,7 +25,96 @@ fn bucket_fingerprint(h: &Histogram) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
+/// An engine event: `(id, generation)`.
+type Ev = (u32, u32);
+
+/// One run's observable outcome: every fired `(time, event)`, why the run
+/// stopped, the events processed and the final clock.
+type RunLog = (Vec<(SimTime, Ev)>, StopReason, u64, SimTime);
+
+/// Run `pre` (scheduled before the run) and `stream` under a handler that
+/// spawns follow-ups at `now` and later, two generations deep, and stops
+/// on the `stop_at`-th event. With `streamed` the stream is merged through
+/// `run_stream`; otherwise it is scheduled up front after `pre`.
+fn merge_run(
+    pre: &[(SimTime, Ev)],
+    stream: &[(SimTime, Ev)],
+    streamed: bool,
+    (horizon, budget, stop_at): (SimTime, u64, usize),
+) -> RunLog {
+    let mut engine = Engine::new(horizon);
+    engine.set_event_budget(budget);
+    for &(t, e) in pre {
+        engine.schedule(t, e);
+    }
+    let mut fired = Vec::new();
+    let mut handler = |t: SimTime, (id, generation): Ev, sched: &mut Scheduler<'_, Ev>| {
+        fired.push((t, (id, generation)));
+        if generation < 2 && id % 3 != 0 {
+            sched.schedule_in(SimDuration::ZERO, (id * 4 + 1, generation + 1));
+            let delay = SimDuration::from_secs(u64::from(id % 5));
+            sched.schedule_in(delay, (id * 4 + 2, generation + 1));
+        }
+        if fired.len() == stop_at {
+            Flow::Stop
+        } else {
+            Flow::Continue
+        }
+    };
+    let reason = if streamed {
+        engine.run_stream(stream.iter().copied(), &mut handler)
+    } else {
+        for &(t, e) in stream {
+            engine.schedule(t, e);
+        }
+        engine.run(&mut handler)
+    };
+    (fired, reason, engine.events_processed(), engine.now())
+}
+
 proptest! {
+    /// A stream merged into the run loop fires exactly what scheduling it
+    /// up front fires: equal-time ties go to pre-run events, then the
+    /// stream in order, then run-time follow-ups. Both runs also stop at
+    /// the same event under the horizon, `Flow::Stop` and the budget.
+    #[test]
+    fn streamed_run_matches_scheduling_the_stream_up_front(
+        pre_times in prop::collection::vec(0u64..40, 0..30),
+        steps in prop::collection::vec(0u64..4, 0..60),
+        horizon in 0u64..260,
+        budget in 0u64..400,
+        stop_at in 0usize..400,
+    ) {
+        let secs = SimTime::from_secs;
+        let pre: Vec<(SimTime, Ev)> = pre_times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (secs(t), (i as u32, 0)))
+            .collect();
+        // A non-decreasing stream with frequent equal times.
+        let mut t = 0;
+        let stream: Vec<(SimTime, Ev)> = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &step)| {
+                t += step;
+                (secs(t), (1_000 + i as u32, 0))
+            })
+            .collect();
+        for limits in [
+            (SimTime::MAX, u64::MAX, 0),
+            (secs(horizon), u64::MAX, 0),
+            (SimTime::MAX, u64::MAX, stop_at),
+            (SimTime::MAX, budget, 0),
+            (secs(horizon), budget, stop_at),
+        ] {
+            prop_assert_eq!(
+                merge_run(&pre, &stream, true, limits),
+                merge_run(&pre, &stream, false, limits)
+            );
+        }
+    }
+
     /// Popping the queue yields events in (time, insertion) order for any
     /// schedule.
     #[test]

@@ -19,7 +19,10 @@
 //! and paste the printed constants over the `GOLDEN_*` values below.
 
 use dtn_epidemic::{protocols, ProtocolConfig, RunMetrics};
-use dtn_experiments::{run_point_checked_cached, Mobility, SweepConfig, TraceCache};
+use dtn_experiments::{
+    fault_grid, grid_point_jobs, run_point_checked_cached, Mobility, RunOutcome, SweepConfig,
+    TraceCache,
+};
 use dtn_sim::Threads;
 
 const LOAD: u32 = 20;
@@ -258,4 +261,373 @@ fn immunity_epidemic_matches_seed() {
 #[test]
 fn cumulative_immunity_epidemic_matches_seed() {
     check("Epidemic with cumulative immunity", GOLDEN_CUMULATIVE);
+}
+
+// ---------------------------------------------------------------------
+// Faulted goldens.
+//
+// The goldens above run fault-free. These pin runs where churn flips and
+// lossy sessions interleave with contacts — in particular a churn flip
+// at a contact's start time, which must keep firing first. They cover
+// every `fault_grid()` cell × the eight paper protocols on `rwp`
+// (load 5, replications 0–1, through the robustness grid's own
+// `PointJob`s) plus one crash-churn `trace` point, and fingerprint the
+// fault counters as well. Regenerate after an intentional behavior
+// change with
+//
+// ```text
+// cargo test --test golden_equivalence print_faulted_goldens -- --ignored --nocapture
+// ```
+
+const FAULT_LOAD: u32 = 5;
+const CRASH_TRACE_LOAD: u32 = 20;
+
+/// [`fingerprint`] plus the signaling and fault counters.
+fn faulted_fingerprint(m: &RunMetrics) -> String {
+    format!(
+        "{} sb={} fp={} sk={} st={} al={} cw={} cd={}",
+        fingerprint(m),
+        m.signaling_bytes,
+        m.false_positive_transmissions,
+        m.contacts_skipped,
+        m.sessions_truncated,
+        m.ack_losses,
+        m.churn_wipes,
+        m.churn_drops,
+    )
+}
+
+/// One line per (protocol, replication) of one `fault_grid()` cell on
+/// `rwp`, in grid order.
+fn grid_cell_fingerprint(cell: &str) -> String {
+    let cfg = SweepConfig {
+        loads: vec![FAULT_LOAD],
+        replications: REPLICATIONS,
+        threads: Threads::Sequential,
+        ..SweepConfig::default()
+    };
+    let cache = TraceCache::new();
+    let mut out = String::new();
+    for point in grid_point_jobs(Mobility::Rwp, &cfg).unwrap() {
+        if point.cell_label != cell {
+            continue;
+        }
+        let outcome = point.job.run(Threads::Sequential, &cache).unwrap();
+        for (rep, run) in outcome.outcomes.iter().enumerate() {
+            let RunOutcome::Ok(m) = run else {
+                panic!("{}: replication {rep} failed: {run:?}", point.key)
+            };
+            out.push_str(&format!(
+                "{} r{rep}: {}\n",
+                point.protocol_spec,
+                faulted_fingerprint(m)
+            ));
+        }
+    }
+    assert!(!out.is_empty(), "no grid cell labelled {cell}");
+    out
+}
+
+/// Cumulative immunity on the Haggle-like trace under crash churn: a
+/// crash wipes relay buffers and immunity tables mid-run.
+fn crash_trace_fingerprint() -> String {
+    let crash = fault_grid()
+        .into_iter()
+        .find(|c| c.label == "churn=crash,loss=clean")
+        .expect("crash cell");
+    let cfg = SweepConfig {
+        loads: vec![CRASH_TRACE_LOAD],
+        replications: REPLICATIONS,
+        threads: Threads::Sequential,
+        faults: crash.plan,
+        ..SweepConfig::default()
+    };
+    let protocol = by_name("Epidemic with cumulative immunity");
+    let mut out = String::new();
+    for (rep, m) in run_point_checked_cached(
+        &protocol,
+        Mobility::Trace,
+        CRASH_TRACE_LOAD,
+        &cfg,
+        &TraceCache::new(),
+    )
+    .into_iter()
+    .map(Result::unwrap)
+    .enumerate()
+    {
+        out.push_str(&format!("trace r{rep}: {}\n", faulted_fingerprint(&m)));
+    }
+    out
+}
+
+/// Render `text` as a Rust string constant in this file's layout.
+fn golden_const(name: &str, text: &str) -> String {
+    let body = text.trim_end_matches('\n').replace('\n', "\n\\\n     ");
+    format!("const {name}: &str = \"{body}\n\";\n")
+}
+
+/// Regenerator: prints the faulted golden constants.
+#[test]
+#[ignore = "regenerates the faulted golden constants; run with --ignored --nocapture"]
+fn print_faulted_goldens() {
+    for (name, cell) in FAULT_CELLS {
+        println!("{}", golden_const(name, &grid_cell_fingerprint(cell)));
+    }
+    println!(
+        "{}",
+        golden_const("GOLDEN_CRASH_TRACE", &crash_trace_fingerprint())
+    );
+}
+
+const FAULT_CELLS: [(&str, &str); 6] = [
+    ("GOLDEN_RWP_NO_CHURN_CLEAN", "churn=none,loss=clean"),
+    ("GOLDEN_RWP_NO_CHURN_LOSSY", "churn=none,loss=lossy"),
+    ("GOLDEN_RWP_DUTY_CLEAN", "churn=duty,loss=clean"),
+    ("GOLDEN_RWP_DUTY_LOSSY", "churn=duty,loss=lossy"),
+    ("GOLDEN_RWP_CRASH_CLEAN", "churn=crash,loss=clean"),
+    ("GOLDEN_RWP_CRASH_LOSSY", "churn=crash,loss=lossy"),
+];
+
+fn check_cell(cell: &str, golden: &str) {
+    assert_eq!(
+        grid_cell_fingerprint(cell),
+        golden,
+        "rwp {cell}: RunMetrics diverged from the golden"
+    );
+}
+
+const GOLDEN_RWP_NO_CHURN_CLEAN: &str = "pure r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d6354a9fbe76c9 abo=3fc59fc34a78d75d pbo=3fe0000000000000 adr=3fc4adc4d6fb9d2e co=233 tx=40 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=400000000 cb=141 et=40d6354a9fbe76c9 sb=141 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     pure r1: tb=5 dv=5 dr=3ff0000000000000 ct=40cc96d0624dd2f2 abo=3fc51305450edec5 pbo=3fe0000000000000 adr=3fcabc0b7cbf35ee co=158 tx=36 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=360000000 cb=95 et=40cc96d0624dd2f2 sb=95 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     pq=1,1 r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d6354a9fbe76c9 abo=3fc59fc34a78d75d pbo=3fe0000000000000 adr=3fc4adc4d6fb9d2e co=233 tx=40 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=400000000 cb=141 et=40d6354a9fbe76c9 sb=141 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     pq=1,1 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40cc96d0624dd2f2 abo=3fc51305450edec5 pbo=3fe0000000000000 adr=3fcabc0b7cbf35ee co=158 tx=36 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=360000000 cb=95 et=40cc96d0624dd2f2 sb=95 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ttl=300 r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f90aefe76c8b44 abo=3fa5e8bd65f8ee7c pbo=3fe0000000000000 adr=3fb5cd5260bd70c2 co=1044 tx=50 ar=0 ev=0 ex=45 rj=0 ip=0 tl=0 pb=500000000 cb=602 et=40f90aefe76c8b44 sb=602 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ttl=300 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f546f6d0e56042 abo=3fa608c38a536da0 pbo=3fe0000000000000 adr=3fb62f45fd01afd0 co=867 tx=51 ar=0 ev=0 ex=46 rj=0 ip=0 tl=0 pb=510000000 cb=517 et=40f546f6d0e56042 sb=517 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     dynttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f3a1623d70a3d7 abo=3fa67d8d7d7757df pbo=3fe0000000000000 adr=3fb61d7968052212 co=823 tx=44 ar=0 ev=0 ex=39 rj=0 ip=0 tl=0 pb=440000000 cb=493 et=40f3a1623d70a3d7 sb=493 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     dynttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f2bcc839581062 abo=3fb08b9dcdbe66f5 pbo=3fe0000000000000 adr=3fb7d46cd0f33e29 co=777 tx=120 ar=0 ev=0 ex=111 rj=0 ip=0 tl=0 pb=1200000000 cb=436 et=40f2bcc839581062 sb=436 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ec r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d6354a9fbe76c9 abo=3fc59fc34a78d75d pbo=3fe0000000000000 adr=3fc4adc4d6fb9d2e co=233 tx=40 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=400000000 cb=141 et=40d6354a9fbe76c9 sb=141 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ec r1: tb=5 dv=5 dr=3ff0000000000000 ct=40cc96d0624dd2f2 abo=3fc51305450edec5 pbo=3fe0000000000000 adr=3fcabc0b7cbf35ee co=158 tx=36 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=360000000 cb=95 et=40cc96d0624dd2f2 sb=95 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ecttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40e05ef91eb851ec abo=3fb4ad75c3501023 pbo=3fe0000000000000 adr=3fc15a8279e41bf7 co=348 tx=59 ar=0 ev=0 ex=35 rj=17 ip=0 tl=0 pb=590000000 cb=206 et=40e05ef91eb851ec sb=206 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ecttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fb6000e033a6f23 pbo=3fe0000000000000 adr=3fc61fbfdb7fbbec co=217 tx=41 ar=0 ev=0 ex=23 rj=8 ip=0 tl=0 pb=410000000 cb=113 et=40d38d184189374c sb=113 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     immunity r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d3fe43020c49ba abo=3fb85daf911a66d5 pbo=3fe0000000000000 adr=3fc9755c7da95d63 co=216 tx=34 ar=548 ev=0 ex=0 rj=0 ip=22 tl=0 pb=340000000 cb=8897 et=40d3fe43020c49ba sb=129 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     immunity r1: tb=5 dv=5 dr=3ff0000000000000 ct=40cc96d0624dd2f2 abo=3fbca2bf061d47c0 pbo=3fe0000000000000 adr=3fd1385ab7b055cb co=158 tx=32 ar=559 ev=0 ex=0 rj=0 ip=22 tl=0 pb=320000000 cb=9042 et=40cc96d0624dd2f2 sb=98 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     cumulative r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d6354a9fbe76c9 abo=3fb10ebd62116dfd pbo=3fe0000000000000 adr=3fc2139723797ce5 co=233 tx=30 ar=297 ev=0 ex=0 rj=0 ip=25 tl=0 pb=300000000 cb=4896 et=40d6354a9fbe76c9 sb=144 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     cumulative r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fb6dcece37f036d pbo=3fe0000000000000 adr=3fcace4f6ed6de5c co=217 tx=33 ar=381 ev=0 ex=0 rj=0 ip=29 tl=0 pb=330000000 cb=6215 et=40d38d184189374c sb=119 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+";
+const GOLDEN_RWP_NO_CHURN_LOSSY: &str = "pure r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d904fd916872b0 abo=3fb71e1b3caf731f pbo=3fe0000000000000 adr=3fc448afe1a32a53 co=256 tx=26 ar=0 ev=0 ex=0 rj=0 ip=0 tl=1 pb=260000000 cb=119 et=40d904fd916872b0 sb=119 fp=0 sk=0 st=19 al=0 cw=0 cd=0
+\
+     pure r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc4c96b93baa65e pbo=3fe0000000000000 adr=3fc78e12f9f21a5b co=217 tx=34 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=340000000 cb=82 et=40d38d184189374c sb=82 fp=0 sk=0 st=18 al=0 cw=0 cd=0
+\
+     pq=1,1 r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d904fd916872b0 abo=3fb71e1b3caf731f pbo=3fe0000000000000 adr=3fc448afe1a32a53 co=256 tx=26 ar=0 ev=0 ex=0 rj=0 ip=0 tl=1 pb=260000000 cb=119 et=40d904fd916872b0 sb=119 fp=0 sk=0 st=19 al=0 cw=0 cd=0
+\
+     pq=1,1 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc4c96b93baa65e pbo=3fe0000000000000 adr=3fc78e12f9f21a5b co=217 tx=34 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=340000000 cb=82 et=40d38d184189374c sb=82 fp=0 sk=0 st=18 al=0 cw=0 cd=0
+\
+     ttl=300 r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f9112fe76c8b44 abo=3fa5b6736af3c6bd pbo=3fe0000000000000 adr=3fb59926b5a5c8f2 co=1044 tx=37 ar=0 ev=0 ex=30 rj=0 ip=0 tl=2 pb=370000000 cb=468 et=40f9112fe76c8b44 sb=468 fp=0 sk=0 st=71 al=0 cw=0 cd=0
+\
+     ttl=300 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f546f6d0e56042 abo=3fa5d19ba75dd52f pbo=3fe0000000000000 adr=3fb5ce04eb60bb4d co=867 tx=40 ar=0 ev=0 ex=33 rj=0 ip=0 tl=2 pb=400000000 cb=407 et=40f546f6d0e56042 sb=407 fp=0 sk=0 st=58 al=0 cw=0 cd=0
+\
+     dynttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f9112fe76c8b44 abo=3fa63a805cb2dfd7 pbo=3fe0000000000000 adr=3fb63094f42a788e co=1044 tx=39 ar=0 ev=0 ex=32 rj=0 ip=0 tl=2 pb=390000000 cb=467 et=40f9112fe76c8b44 sb=467 fp=0 sk=0 st=71 al=0 cw=0 cd=0
+\
+     dynttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f2bcc839581062 abo=3fadb747826148c5 pbo=3fe0000000000000 adr=3fb96b522fd8a61c co=777 tx=79 ar=0 ev=0 ex=62 rj=0 ip=0 tl=9 pb=790000000 cb=353 et=40f2bcc839581062 sb=353 fp=0 sk=0 st=54 al=0 cw=0 cd=0
+\
+     ec r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d904fd916872b0 abo=3fb71e1b3caf731f pbo=3fe0000000000000 adr=3fc448afe1a32a53 co=256 tx=26 ar=0 ev=0 ex=0 rj=0 ip=0 tl=1 pb=260000000 cb=119 et=40d904fd916872b0 sb=119 fp=0 sk=0 st=19 al=0 cw=0 cd=0
+\
+     ec r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc4c96b93baa65e pbo=3fe0000000000000 adr=3fc78e12f9f21a5b co=217 tx=34 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=340000000 cb=82 et=40d38d184189374c sb=82 fp=0 sk=0 st=18 al=0 cw=0 cd=0
+\
+     ecttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f02e03ef9db22d abo=3fb0745d985eb8d1 pbo=3fe0000000000000 adr=3fbe59bbf76b9f0d co=676 tx=54 ar=0 ev=0 ex=29 rj=15 ip=0 tl=3 pb=540000000 cb=302 et=40f02e03ef9db22d sb=302 fp=0 sk=0 st=51 al=0 cw=0 cd=0
+\
+     ecttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d543a6a7ef9db2 abo=3fb32fadfa63c7c3 pbo=3fe0000000000000 adr=3fc772f0529ed3d0 co=235 tx=29 ar=0 ev=0 ex=11 rj=5 ip=0 tl=0 pb=290000000 cb=100 et=40d543a6a7ef9db2 sb=100 fp=0 sk=0 st=21 al=0 cw=0 cd=0
+\
+     immunity r0: tb=5 dv=5 dr=3ff0000000000000 ct=40d9acfc9ba5e354 abo=3fb43be7421fa21e pbo=3fe0000000000000 adr=3fc4effa74124f1f co=269 tx=24 ar=426 ev=0 ex=0 rj=0 ip=14 tl=1 pb=240000000 cb=6944 et=40d9acfc9ba5e354 sb=128 fp=0 sk=0 st=21 al=139 cw=0 cd=0
+\
+     immunity r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fb6adb0e2d520d5 pbo=3fe0000000000000 adr=3fd050842b001fd1 co=217 tx=27 ar=858 ev=0 ex=0 rj=0 ip=19 tl=0 pb=270000000 cb=13815 et=40d38d184189374c sb=87 fp=0 sk=0 st=18 al=117 cw=0 cd=0
+\
+     cumulative r0: tb=5 dv=5 dr=3ff0000000000000 ct=40e05ef91eb851ec abo=3fac73a30aed0e8f pbo=3fe0000000000000 adr=3fb91d901cc47bde co=348 tx=24 ar=465 ev=0 ex=0 rj=0 ip=21 tl=1 pb=240000000 cb=7612 et=40e05ef91eb851ec sb=172 fp=0 sk=0 st=27 al=177 cw=0 cd=0
+\
+     cumulative r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d9e5995810624e abo=3faf943be4a64243 pbo=3fe0000000000000 adr=3fc42d314eacdd1c co=272 tx=30 ar=479 ev=0 ex=0 rj=0 ip=24 tl=0 pb=300000000 cb=7782 et=40d9e5995810624e sb=118 fp=0 sk=0 st=24 al=139 cw=0 cd=0
+";
+const GOLDEN_RWP_DUTY_CLEAN: &str = "pure r0: tb=5 dv=5 dr=3ff0000000000000 ct=40ed92a245a1cac1 abo=3fc971244f812e25 pbo=3fe0000000000000 adr=3fc6a81befc6b83d co=372 tx=49 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=490000000 cb=226 et=40ed92a245a1cac1 sb=226 fp=0 sk=251 st=0 al=0 cw=0 cd=0
+\
+     pure r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc087880819719f pbo=3fe0000000000000 adr=3fc0606649010f89 co=173 tx=22 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=220000000 cb=92 et=40d38d184189374c sb=92 fp=0 sk=44 st=0 al=0 cw=0 cd=0
+\
+     pq=1,1 r0: tb=5 dv=5 dr=3ff0000000000000 ct=40ed92a245a1cac1 abo=3fc971244f812e25 pbo=3fe0000000000000 adr=3fc6a81befc6b83d co=372 tx=49 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=490000000 cb=226 et=40ed92a245a1cac1 sb=226 fp=0 sk=251 st=0 al=0 cw=0 cd=0
+\
+     pq=1,1 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc087880819719f pbo=3fe0000000000000 adr=3fc0606649010f89 co=173 tx=22 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=220000000 cb=92 et=40d38d184189374c sb=92 fp=0 sk=44 st=0 al=0 cw=0 cd=0
+\
+     ttl=300 r0: tb=5 dv=5 dr=3ff0000000000000 ct=4105c8fb6c8b4396 abo=3fa5c56ad3114254 pbo=3fe0000000000000 adr=3fb5afea49295b86 co=1216 tx=66 ar=0 ev=0 ex=61 rj=0 ip=0 tl=0 pb=660000000 cb=759 et=4105c8fb6c8b4396 sb=759 fp=0 sk=622 st=0 al=0 cw=0 cd=0
+\
+     ttl=300 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f546f6d0e56042 abo=3fa5cd0cf3bc2029 pbo=3fe0000000000000 adr=3fb5d56cd3e643ff co=612 tx=36 ar=0 ev=0 ex=31 rj=0 ip=0 tl=0 pb=360000000 cb=357 et=40f546f6d0e56042 sb=357 fp=0 sk=255 st=0 al=0 cw=0 cd=0
+\
+     dynttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=410466f353f7ced9 abo=3fa67953f7b14de1 pbo=3fe0000000000000 adr=3fb65a157b4c6272 co=1152 tx=68 ar=0 ev=0 ex=62 rj=0 ip=0 tl=0 pb=680000000 cb=697 et=410466f353f7ced9 sb=697 fp=0 sk=555 st=0 al=0 cw=0 cd=0
+\
+     dynttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f2bcc839581062 abo=3faf3989dd58d8ac pbo=3fe0000000000000 adr=3fb72c174c7bbafa co=536 tx=80 ar=0 ev=0 ex=71 rj=0 ip=0 tl=0 pb=800000000 cb=306 et=40f2bcc839581062 sb=306 fp=0 sk=241 st=0 al=0 cw=0 cd=0
+\
+     ec r0: tb=5 dv=5 dr=3ff0000000000000 ct=40ed92a245a1cac1 abo=3fc971244f812e25 pbo=3fe0000000000000 adr=3fc6a81befc6b83d co=372 tx=49 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=490000000 cb=226 et=40ed92a245a1cac1 sb=226 fp=0 sk=251 st=0 al=0 cw=0 cd=0
+\
+     ec r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc087880819719f pbo=3fe0000000000000 adr=3fc0606649010f89 co=173 tx=22 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=220000000 cb=92 et=40d38d184189374c sb=92 fp=0 sk=44 st=0 al=0 cw=0 cd=0
+\
+     ecttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f90aefe76c8b44 abo=3fb1c4b5dcbe4ebc pbo=3fe0000000000000 adr=3fc72262b75f61eb co=629 tx=67 ar=0 ev=0 ex=44 rj=14 ip=0 tl=0 pb=670000000 cb=361 et=40f90aefe76c8b44 sb=361 fp=0 sk=415 st=0 al=0 cw=0 cd=0
+\
+     ecttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fb093383f3efc96 pbo=3fe0000000000000 adr=3fc05ad4974b727e co=173 tx=18 ar=0 ev=0 ex=8 rj=1 ip=0 tl=0 pb=180000000 cb=94 et=40d38d184189374c sb=94 fp=0 sk=44 st=0 al=0 cw=0 cd=0
+\
+     immunity r0: tb=5 dv=5 dr=3ff0000000000000 ct=40e7ced4bc6a7efa abo=3fb1495748f018f9 pbo=3fe0000000000000 adr=3fc0701e798c9321 co=289 tx=26 ar=1247 ev=0 ex=0 rj=0 ip=21 tl=0 pb=260000000 cb=20136 et=40e7ced4bc6a7efa sb=184 fp=0 sk=215 st=0 al=0 cw=0 cd=0
+\
+     immunity r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fb0d4483a32cea7 pbo=3fe0000000000000 adr=3fc0606649010f89 co=173 tx=16 ar=664 ev=0 ex=0 rj=0 ip=15 tl=0 pb=160000000 cb=10720 et=40d38d184189374c sb=96 fp=0 sk=44 st=0 al=0 cw=0 cd=0
+\
+     cumulative r0: tb=5 dv=5 dr=3ff0000000000000 ct=40ed92a245a1cac1 abo=3fa8576f68c95d3b pbo=3fe0000000000000 adr=3fc431055b4d5ef9 co=372 tx=29 ar=625 ev=0 ex=0 rj=0 ip=20 tl=0 pb=290000000 cb=10236 et=40ed92a245a1cac1 sb=236 fp=0 sk=251 st=0 al=0 cw=0 cd=0
+\
+     cumulative r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e0a35743958106 abo=3faed3538b7a7f71 pbo=3fe0000000000000 adr=3fc5174c2bf385cb co=254 tx=28 ar=455 ev=0 ex=0 rj=0 ip=15 tl=0 pb=280000000 cb=7431 et=40e0a35743958106 sb=151 fp=0 sk=95 st=0 al=0 cw=0 cd=0
+";
+const GOLDEN_RWP_DUTY_LOSSY: &str = "pure r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f35335d2f1a9fc abo=3fc123f82b02a8c6 pbo=3fe0000000000000 adr=3fc68f97952bb9aa co=509 tx=48 ar=0 ev=0 ex=0 rj=0 ip=0 tl=3 pb=480000000 cb=242 et=40f35335d2f1a9fc sb=242 fp=0 sk=296 st=39 al=0 cw=0 cd=0
+\
+     pure r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e02691cac08312 abo=3fc03316293162f1 pbo=3fe0000000000000 adr=3fc2e5f5cbe15988 co=248 tx=27 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=270000000 cb=106 et=40e02691cac08312 sb=106 fp=0 sk=95 st=21 al=0 cw=0 cd=0
+\
+     pq=1,1 r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f35335d2f1a9fc abo=3fc123f82b02a8c6 pbo=3fe0000000000000 adr=3fc68f97952bb9aa co=509 tx=48 ar=0 ev=0 ex=0 rj=0 ip=0 tl=3 pb=480000000 cb=242 et=40f35335d2f1a9fc sb=242 fp=0 sk=296 st=39 al=0 cw=0 cd=0
+\
+     pq=1,1 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e02691cac08312 abo=3fc03316293162f1 pbo=3fe0000000000000 adr=3fc2e5f5cbe15988 co=248 tx=27 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=270000000 cb=106 et=40e02691cac08312 sb=106 fp=0 sk=95 st=21 al=0 cw=0 cd=0
+\
+     ttl=300 r0: tb=5 dv=5 dr=3ff0000000000000 ct=410e34d953f7ced9 abo=3fa5a0c2b067e4e9 pbo=3fe0000000000000 adr=3fb59344989120f6 co=1751 tx=64 ar=0 ev=0 ex=56 rj=0 ip=0 tl=3 pb=640000000 cb=864 et=410e34d953f7ced9 sb=864 fp=0 sk=832 st=138 al=0 cw=0 cd=0
+\
+     ttl=300 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f546f6d0e56042 abo=3fa5ba404a2252eb pbo=3fe0000000000000 adr=3fb5c3dca3fc4478 co=612 tx=31 ar=0 ev=0 ex=26 rj=0 ip=0 tl=0 pb=310000000 cb=283 et=40f546f6d0e56042 sb=283 fp=0 sk=255 st=42 al=0 cw=0 cd=0
+\
+     dynttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=410e34d953f7ced9 abo=3fa616063b3e3d75 pbo=3fe0000000000000 adr=3fb5e5dace9fdc94 co=1751 tx=67 ar=0 ev=0 ex=59 rj=0 ip=0 tl=3 pb=670000000 cb=863 et=410e34d953f7ced9 sb=863 fp=0 sk=832 st=138 al=0 cw=0 cd=0
+\
+     dynttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f546f6d0e56042 abo=3fadfd958dacbf84 pbo=3fe0000000000000 adr=3fb82c6dd3a86be2 co=612 tx=79 ar=0 ev=0 ex=64 rj=0 ip=0 tl=9 pb=790000000 cb=272 et=40f546f6d0e56042 sb=272 fp=0 sk=255 st=42 al=0 cw=0 cd=0
+\
+     ec r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f35335d2f1a9fc abo=3fc123f82b02a8c6 pbo=3fe0000000000000 adr=3fc68f97952bb9aa co=509 tx=48 ar=0 ev=0 ex=0 rj=0 ip=0 tl=3 pb=480000000 cb=242 et=40f35335d2f1a9fc sb=242 fp=0 sk=296 st=39 al=0 cw=0 cd=0
+\
+     ec r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e02691cac08312 abo=3fc03316293162f1 pbo=3fe0000000000000 adr=3fc2e5f5cbe15988 co=248 tx=27 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=270000000 cb=106 et=40e02691cac08312 sb=106 fp=0 sk=95 st=21 al=0 cw=0 cd=0
+\
+     ecttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=410e31b953f7ced9 abo=3fad16929f69a5ff pbo=3fe0000000000000 adr=3fbe55171447ebf2 co=1751 tx=113 ar=0 ev=0 ex=65 rj=35 ip=0 tl=8 pb=1130000000 cb=834 et=410e31b953f7ced9 sb=834 fp=0 sk=832 st=138 al=0 cw=0 cd=0
+\
+     ecttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e329548b439581 abo=3fb0cfe1284169df pbo=3fe0000000000000 adr=3fbf294c313e496e co=301 tx=31 ar=0 ev=0 ex=11 rj=8 ip=0 tl=0 pb=310000000 cb=133 et=40e329548b439581 sb=133 fp=0 sk=97 st=25 al=0 cw=0 cd=0
+\
+     immunity r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f58fbf47ae147b abo=3fb3b1b6325a1218 pbo=3fe0000000000000 adr=3fc9016fb4d6aa37 co=564 tx=45 ar=1468 ev=0 ex=0 rj=0 ip=31 tl=2 pb=450000000 cb=23755 et=40f58fbf47ae147b sb=267 fp=0 sk=338 st=41 al=275 cw=0 cd=0
+\
+     immunity r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e02691cac08312 abo=3fb2f1809b784815 pbo=3fe0000000000000 adr=3fc958c652384387 co=248 tx=22 ar=1007 ev=0 ex=0 rj=0 ip=14 tl=0 pb=220000000 cb=16220 et=40e02691cac08312 sb=108 fp=0 sk=95 st=21 al=132 cw=0 cd=0
+\
+     cumulative r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f9758f47ae147b abo=3fb29ea83a0c70b9 pbo=3fe0000000000000 adr=3fc7c9587721fb07 co=638 tx=49 ar=685 ev=0 ex=0 rj=0 ip=35 tl=3 pb=490000000 cb=11255 et=40f9758f47ae147b sb=295 fp=0 sk=423 st=47 al=306 cw=0 cd=0
+\
+     cumulative r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e329548b439581 abo=3fac1bc350290390 pbo=3fe0000000000000 adr=3fc8a62bcfb139a8 co=301 tx=25 ar=537 ev=0 ex=0 rj=0 ip=18 tl=0 pb=250000000 cb=8728 et=40e329548b439581 sb=136 fp=0 sk=97 st=25 al=157 cw=0 cd=0
+";
+const GOLDEN_RWP_CRASH_CLEAN: &str = "pure r0: tb=5 dv=5 dr=3ff0000000000000 ct=40ed92a245a1cac1 abo=3fc7e3e26fee1d1b pbo=3fe0000000000000 adr=3fc652683d7a5278 co=372 tx=59 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=590000000 cb=223 et=40ed92a245a1cac1 sb=223 fp=0 sk=251 st=0 al=0 cw=15 cd=15
+\
+     pure r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc01a54b8ba946f pbo=3fe0000000000000 adr=3fc05ecc268f323c co=173 tx=23 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=230000000 cb=91 et=40d38d184189374c sb=91 fp=0 sk=44 st=0 al=0 cw=1 cd=2
+\
+     pq=1,1 r0: tb=5 dv=5 dr=3ff0000000000000 ct=40ed92a245a1cac1 abo=3fc7e3e26fee1d1b pbo=3fe0000000000000 adr=3fc652683d7a5278 co=372 tx=59 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=590000000 cb=223 et=40ed92a245a1cac1 sb=223 fp=0 sk=251 st=0 al=0 cw=15 cd=15
+\
+     pq=1,1 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc01a54b8ba946f pbo=3fe0000000000000 adr=3fc05ecc268f323c co=173 tx=23 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=230000000 cb=91 et=40d38d184189374c sb=91 fp=0 sk=44 st=0 al=0 cw=1 cd=2
+\
+     ttl=300 r0: tb=5 dv=5 dr=3ff0000000000000 ct=4105c8fb6c8b4396 abo=3fa5c56ad3114254 pbo=3fe0000000000000 adr=3fb5afea49295b86 co=1216 tx=66 ar=0 ev=0 ex=61 rj=0 ip=0 tl=0 pb=660000000 cb=759 et=4105c8fb6c8b4396 sb=759 fp=0 sk=622 st=0 al=0 cw=43 cd=0
+\
+     ttl=300 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f546f6d0e56042 abo=3fa5cd0cf3bc2029 pbo=3fe0000000000000 adr=3fb5d56cd3e643ff co=612 tx=36 ar=0 ev=0 ex=31 rj=0 ip=0 tl=0 pb=360000000 cb=357 et=40f546f6d0e56042 sb=357 fp=0 sk=255 st=0 al=0 cw=19 cd=0
+\
+     dynttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=410466f353f7ced9 abo=3fa67953f7b14de1 pbo=3fe0000000000000 adr=3fb65a157b4c6272 co=1152 tx=68 ar=0 ev=0 ex=62 rj=0 ip=0 tl=0 pb=680000000 cb=697 et=410466f353f7ced9 sb=697 fp=0 sk=555 st=0 al=0 cw=39 cd=0
+\
+     dynttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f540b6d0e56042 abo=3fab5140f9979111 pbo=3fe0000000000000 adr=3fb6fbfa3a1873ff co=612 tx=66 ar=0 ev=0 ex=60 rj=0 ip=0 tl=0 pb=660000000 cb=348 et=40f540b6d0e56042 sb=348 fp=0 sk=255 st=0 al=0 cw=19 cd=1
+\
+     ec r0: tb=5 dv=5 dr=3ff0000000000000 ct=40ed92a245a1cac1 abo=3fc7e3e26fee1d1b pbo=3fe0000000000000 adr=3fc652683d7a5278 co=372 tx=59 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=590000000 cb=223 et=40ed92a245a1cac1 sb=223 fp=0 sk=251 st=0 al=0 cw=15 cd=15
+\
+     ec r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fc01a54b8ba946f pbo=3fe0000000000000 adr=3fc05ecc268f323c co=173 tx=23 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=230000000 cb=91 et=40d38d184189374c sb=91 fp=0 sk=44 st=0 al=0 cw=1 cd=2
+\
+     ecttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f90aefe76c8b44 abo=3fb1abcef13e525c pbo=3fe0000000000000 adr=3fc72262b75f61eb co=629 tx=65 ar=0 ev=0 ex=41 rj=13 ip=0 tl=0 pb=650000000 cb=363 et=40f90aefe76c8b44 sb=363 fp=0 sk=415 st=0 al=0 cw=24 cd=2
+\
+     ecttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fb0074b896ca397 pbo=3fe0000000000000 adr=3fc0593a74d99531 co=173 tx=19 ar=0 ev=0 ex=10 rj=1 ip=0 tl=0 pb=190000000 cb=93 et=40d38d184189374c sb=93 fp=0 sk=44 st=0 al=0 cw=1 cd=1
+\
+     immunity r0: tb=5 dv=5 dr=3ff0000000000000 ct=40e7ced4bc6a7efa abo=3fb11cca2d02ef04 pbo=3fe0000000000000 adr=3fc0701e798c9321 co=289 tx=26 ar=1225 ev=0 ex=0 rj=0 ip=20 tl=0 pb=260000000 cb=19784 et=40e7ced4bc6a7efa sb=184 fp=0 sk=215 st=0 al=0 cw=10 cd=1
+\
+     immunity r1: tb=5 dv=5 dr=3ff0000000000000 ct=40d38d184189374c abo=3fb0a9370a27c265 pbo=3fe0000000000000 adr=3fc05ecc268f323c co=173 tx=16 ar=662 ev=0 ex=0 rj=0 ip=14 tl=0 pb=160000000 cb=10688 et=40d38d184189374c sb=96 fp=0 sk=44 st=0 al=0 cw=1 cd=1
+\
+     cumulative r0: tb=5 dv=5 dr=3ff0000000000000 ct=40ed92a245a1cac1 abo=3fa8335875fdf603 pbo=3fe0000000000000 adr=3fc431055b4d5ef9 co=372 tx=29 ar=614 ev=0 ex=0 rj=0 ip=19 tl=0 pb=290000000 cb=10060 et=40ed92a245a1cac1 sb=236 fp=0 sk=251 st=0 al=0 cw=15 cd=1
+\
+     cumulative r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e0a35743958106 abo=3faec16ae7b41d0f pbo=3fe0000000000000 adr=3fc5174c2bf385cb co=254 tx=28 ar=452 ev=0 ex=0 rj=0 ip=14 tl=0 pb=280000000 cb=7383 et=40e0a35743958106 sb=151 fp=0 sk=95 st=0 al=0 cw=3 cd=1
+";
+const GOLDEN_RWP_CRASH_LOSSY: &str = "pure r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f157cbba5e353f abo=3fbb1847097e5701 pbo=3fe0000000000000 adr=3fc3af25a41be1bf co=458 tx=46 ar=0 ev=0 ex=0 rj=0 ip=0 tl=2 pb=460000000 cb=225 et=40f157cbba5e353f sb=225 fp=0 sk=273 st=32 al=0 cw=15 cd=2
+\
+     pure r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e02691cac08312 abo=3fc001d3f100c988 pbo=3fe0000000000000 adr=3fc2e5f5cbe15988 co=248 tx=28 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=280000000 cb=105 et=40e02691cac08312 sb=105 fp=0 sk=95 st=21 al=0 cw=3 cd=2
+\
+     pq=1,1 r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f157cbba5e353f abo=3fbb1847097e5701 pbo=3fe0000000000000 adr=3fc3af25a41be1bf co=458 tx=46 ar=0 ev=0 ex=0 rj=0 ip=0 tl=2 pb=460000000 cb=225 et=40f157cbba5e353f sb=225 fp=0 sk=273 st=32 al=0 cw=15 cd=2
+\
+     pq=1,1 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e02691cac08312 abo=3fc001d3f100c988 pbo=3fe0000000000000 adr=3fc2e5f5cbe15988 co=248 tx=28 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=280000000 cb=105 et=40e02691cac08312 sb=105 fp=0 sk=95 st=21 al=0 cw=3 cd=2
+\
+     ttl=300 r0: tb=5 dv=5 dr=3ff0000000000000 ct=410e34d953f7ced9 abo=3fa5a0c2b067e4e9 pbo=3fe0000000000000 adr=3fb59344989120f6 co=1751 tx=64 ar=0 ev=0 ex=56 rj=0 ip=0 tl=3 pb=640000000 cb=864 et=410e34d953f7ced9 sb=864 fp=0 sk=832 st=138 al=0 cw=61 cd=0
+\
+     ttl=300 r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f546f6d0e56042 abo=3fa5ba404a2252eb pbo=3fe0000000000000 adr=3fb5c3dca3fc4478 co=612 tx=31 ar=0 ev=0 ex=26 rj=0 ip=0 tl=0 pb=310000000 cb=283 et=40f546f6d0e56042 sb=283 fp=0 sk=255 st=42 al=0 cw=19 cd=0
+\
+     dynttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=410e34d953f7ced9 abo=3fa616063b3e3d75 pbo=3fe0000000000000 adr=3fb5e5dace9fdc94 co=1751 tx=67 ar=0 ev=0 ex=59 rj=0 ip=0 tl=3 pb=670000000 cb=863 et=410e34d953f7ced9 sb=863 fp=0 sk=832 st=138 al=0 cw=61 cd=0
+\
+     dynttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40f546f6d0e56042 abo=3faa5e3fadfee3e7 pbo=3fe0000000000000 adr=3fb7edbda6972140 co=612 tx=55 ar=0 ev=0 ex=47 rj=0 ip=0 tl=2 pb=550000000 cb=276 et=40f546f6d0e56042 sb=276 fp=0 sk=255 st=42 al=0 cw=19 cd=1
+\
+     ec r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f157cbba5e353f abo=3fbb1847097e5701 pbo=3fe0000000000000 adr=3fc3af25a41be1bf co=458 tx=46 ar=0 ev=0 ex=0 rj=0 ip=0 tl=2 pb=460000000 cb=225 et=40f157cbba5e353f sb=225 fp=0 sk=273 st=32 al=0 cw=15 cd=2
+\
+     ec r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e02691cac08312 abo=3fc001d3f100c988 pbo=3fe0000000000000 adr=3fc2e5f5cbe15988 co=248 tx=28 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=280000000 cb=105 et=40e02691cac08312 sb=105 fp=0 sk=95 st=21 al=0 cw=3 cd=2
+\
+     ecttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=410c392ef7ced917 abo=3fad6c1b53b3a1cd pbo=3fe0000000000000 adr=3fbcd54ca9ad9618 co=1649 tx=106 ar=0 ev=0 ex=57 rj=26 ip=0 tl=7 pb=1060000000 cb=783 et=410c392ef7ced917 sb=783 fp=0 sk=777 st=126 al=0 cw=56 cd=11
+\
+     ecttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e329548b439581 abo=3fb04285dca176d7 pbo=3fe0000000000000 adr=3fbeb68fca495020 co=301 tx=29 ar=0 ev=0 ex=9 rj=6 ip=0 tl=0 pb=290000000 cb=133 et=40e329548b439581 sb=133 fp=0 sk=97 st=25 al=0 cw=5 cd=4
+\
+     immunity r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f35335d2f1a9fc abo=3fb2cb6c028eb619 pbo=3fe0000000000000 adr=3fc546ce9485b766 co=509 tx=40 ar=1012 ev=0 ex=0 rj=0 ip=29 tl=2 pb=400000000 cb=16433 et=40f35335d2f1a9fc sb=241 fp=0 sk=296 st=39 al=243 cw=17 cd=1
+\
+     immunity r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e02691cac08312 abo=3fb2eaf066c5e706 pbo=3fe0000000000000 adr=3fc958c652384387 co=248 tx=22 ar=1003 ev=0 ex=0 rj=0 ip=13 tl=0 pb=220000000 cb=16156 et=40e02691cac08312 sb=108 fp=0 sk=95 st=21 al=132 cw=3 cd=1
+\
+     cumulative r0: tb=5 dv=5 dr=3ff0000000000000 ct=40f9758f47ae147b abo=3fb2963c644d32c1 pbo=3fe0000000000000 adr=3fc7c891150cb029 co=638 tx=49 ar=671 ev=0 ex=0 rj=0 ip=33 tl=3 pb=490000000 cb=11031 et=40f9758f47ae147b sb=295 fp=0 sk=423 st=47 al=306 cw=26 cd=4
+\
+     cumulative r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e329548b439581 abo=3fab6b775c975833 pbo=3fe0000000000000 adr=3fc75cca27b7be5a co=301 tx=24 ar=532 ev=0 ex=0 rj=0 ip=16 tl=0 pb=240000000 cb=8648 et=40e329548b439581 sb=136 fp=0 sk=97 st=25 al=157 cw=5 cd=2
+";
+const GOLDEN_CRASH_TRACE: &str = "trace r0: tb=20 dv=15 dr=3fe8000000000000 ct=none abo=3fc1f970a2925021 pbo=4000000000000000 adr=3fbfd632f9de782b co=438 tx=151 ar=715 ev=0 ex=0 rj=0 ip=42 tl=0 pb=1510000000 cb=12718 et=411ffe0800000000 sb=1278 fp=0 sk=257 st=0 al=0 cw=133 cd=102
+\
+     trace r1: tb=20 dv=20 dr=3ff0000000000000 ct=41027e95e147ae14 abo=3fc783c391882d2f pbo=4000000000000000 adr=3fc0d7e5ea8995e9 co=205 tx=123 ar=290 ev=0 ex=0 rj=0 ip=63 tl=0 pb=1230000000 cb=5177 et=41027e95e147ae14 sb=537 fp=0 sk=75 st=0 al=0 cw=30 cd=31
+";
+
+#[test]
+fn rwp_no_churn_clean_matches_golden() {
+    check_cell("churn=none,loss=clean", GOLDEN_RWP_NO_CHURN_CLEAN);
+}
+
+#[test]
+fn rwp_no_churn_lossy_matches_golden() {
+    check_cell("churn=none,loss=lossy", GOLDEN_RWP_NO_CHURN_LOSSY);
+}
+
+#[test]
+fn rwp_duty_clean_matches_golden() {
+    check_cell("churn=duty,loss=clean", GOLDEN_RWP_DUTY_CLEAN);
+}
+
+#[test]
+fn rwp_duty_lossy_matches_golden() {
+    check_cell("churn=duty,loss=lossy", GOLDEN_RWP_DUTY_LOSSY);
+}
+
+#[test]
+fn rwp_crash_clean_matches_golden() {
+    check_cell("churn=crash,loss=clean", GOLDEN_RWP_CRASH_CLEAN);
+}
+
+#[test]
+fn rwp_crash_lossy_matches_golden() {
+    check_cell("churn=crash,loss=lossy", GOLDEN_RWP_CRASH_LOSSY);
+}
+
+#[test]
+fn trace_crash_churn_matches_golden() {
+    assert_eq!(
+        crash_trace_fingerprint(),
+        GOLDEN_CRASH_TRACE,
+        "trace crash churn: RunMetrics diverged from the golden"
+    );
 }
