@@ -34,6 +34,7 @@
 
 use dtn_epidemic::{protocols, CountingProbe};
 use dtn_experiments::{run_point, run_point_checked_cached, Mobility, SweepConfig, TraceCache};
+use dtn_sim::json::Value;
 use dtn_sim::{AtomicHistogram, Clock, MonotonicClock, NullClock, Span, Threads};
 use std::time::Instant;
 
@@ -57,17 +58,9 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// Extract `"contacts_per_sec": <number>` from the baseline JSON by
-/// string search — the baseline is our own hand-shaped file, and a full
-/// parser would be overkill for one numeric key.
+/// The baseline's top-level `contacts_per_sec`.
 fn baseline_contacts_per_sec(json: &str) -> Option<f64> {
-    let key = "\"contacts_per_sec\":";
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Value::parse(json).ok()?.get("contacts_per_sec")?.as_f64()
 }
 
 /// One timed pass over the bench_sweep workload with NullProbe (the

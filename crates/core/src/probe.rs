@@ -32,6 +32,7 @@
 use crate::bundle::{BundleId, FlowId, Workload};
 use crate::metrics::{DropReason, MetricsCollector, RunMetrics};
 use crate::session::SimConfig;
+use dtn_sim::json::Value;
 use dtn_sim::{Histogram, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -363,34 +364,37 @@ impl Event {
     /// `None` for manifest/separator lines and anything else that is not
     /// an event record.
     pub fn parse_jsonl(line: &str) -> Option<Event> {
-        let ev = json_str(line, "ev")?;
-        let t = json_u64(line, "t")?;
-        match ev {
+        let doc = Value::parse(line).ok()?;
+        let u64_ = |key: &str| doc.get(key)?.as_u64();
+        let u32_ = |key: &str| doc.get(key)?.as_u32();
+        let bool_ = |key: &str| doc.get(key)?.as_bool();
+        let t = u64_("t")?;
+        match doc.get("ev")?.as_str()? {
             "contact_begin" => Some(Event::ContactBegin {
-                a: json_u64(line, "a")? as u32,
-                b: json_u64(line, "b")? as u32,
+                a: u32_("a")?,
+                b: u32_("b")?,
                 t,
             }),
             "contact_end" => Some(Event::ContactEnd {
-                a: json_u64(line, "a")? as u32,
-                b: json_u64(line, "b")? as u32,
+                a: u32_("a")?,
+                b: u32_("b")?,
                 t,
-                slots_used: json_u64(line, "slots_used")?,
-                control_bytes: json_u64(line, "control_bytes")?,
-                false_positives: json_u64(line, "false_positives")?,
+                slots_used: u64_("slots_used")?,
+                control_bytes: u64_("control_bytes")?,
+                false_positives: u64_("false_positives")?,
             }),
             "store" => Some(Event::Store {
-                flow: json_u64(line, "flow")? as u32,
-                seq: json_u64(line, "seq")? as u32,
-                node: json_u64(line, "node")? as u32,
+                flow: u32_("flow")?,
+                seq: u32_("seq")?,
+                node: u32_("node")?,
                 t,
             }),
             "drop" => Some(Event::Drop {
-                flow: json_u64(line, "flow")? as u32,
-                seq: json_u64(line, "seq")? as u32,
-                node: json_u64(line, "node")? as u32,
+                flow: u32_("flow")?,
+                seq: u32_("seq")?,
+                node: u32_("node")?,
                 t,
-                reason: match json_str(line, "reason")? {
+                reason: match doc.get("reason")?.as_str()? {
                     "expired" => DropReason::Expired,
                     "evicted" => DropReason::Evicted,
                     "immunized" => DropReason::Immunized,
@@ -399,62 +403,62 @@ impl Event {
                 },
             }),
             "reject" => Some(Event::Reject {
-                flow: json_u64(line, "flow")? as u32,
-                seq: json_u64(line, "seq")? as u32,
-                node: json_u64(line, "node")? as u32,
+                flow: u32_("flow")?,
+                seq: u32_("seq")?,
+                node: u32_("node")?,
                 t,
             }),
             "transmit" => Some(Event::Transmit {
-                flow: json_u64(line, "flow")? as u32,
-                seq: json_u64(line, "seq")? as u32,
-                from: json_u64(line, "from")? as u32,
-                to: json_u64(line, "to")? as u32,
+                flow: u32_("flow")?,
+                seq: u32_("seq")?,
+                from: u32_("from")?,
+                to: u32_("to")?,
                 t,
-                done: json_u64(line, "done")?,
-                lost: json_bool(line, "lost")?,
+                done: u64_("done")?,
+                lost: bool_("lost")?,
             }),
             "deliver" => Some(Event::Deliver {
-                flow: json_u64(line, "flow")? as u32,
-                seq: json_u64(line, "seq")? as u32,
-                node: json_u64(line, "node")? as u32,
+                flow: u32_("flow")?,
+                seq: u32_("seq")?,
+                node: u32_("node")?,
                 t,
-                done: json_u64(line, "done")?,
+                done: u64_("done")?,
             }),
             "immunity_merge" => Some(Event::ImmunityMerge {
-                node: json_u64(line, "node")? as u32,
-                sent: json_u64(line, "sent")?,
-                records: json_u64(line, "records")?,
+                node: u32_("node")?,
+                sent: u64_("sent")?,
+                records: u64_("records")?,
                 t,
             }),
             "ack_purge" => Some(Event::AckPurge {
-                flow: json_u64(line, "flow")? as u32,
-                seq: json_u64(line, "seq")? as u32,
-                node: json_u64(line, "node")? as u32,
+                flow: u32_("flow")?,
+                seq: u32_("seq")?,
+                node: u32_("node")?,
                 t,
             }),
             "fault_down" => Some(Event::FaultDown {
-                node: json_u64(line, "node")? as u32,
+                node: u32_("node")?,
                 t,
             }),
             "fault_up" => Some(Event::FaultUp {
-                node: json_u64(line, "node")? as u32,
+                node: u32_("node")?,
                 t,
-                wiped: json_bool(line, "wiped")?,
+                wiped: bool_("wiped")?,
             }),
             "contact_skipped" => Some(Event::ContactSkipped {
-                a: json_u64(line, "a")? as u32,
-                b: json_u64(line, "b")? as u32,
+                a: u32_("a")?,
+                b: u32_("b")?,
                 t,
             }),
             "session_truncated" => Some(Event::SessionTruncated {
-                a: json_u64(line, "a")? as u32,
-                b: json_u64(line, "b")? as u32,
+                a: u32_("a")?,
+                b: u32_("b")?,
                 t,
-                slots_lost: json_u64(line, "slots_lost")?,
+                slots_lost: u64_("slots_lost")?,
             }),
             "ack_lost" => Some(Event::AckLost {
-                from: json_u64(line, "from")? as u32,
-                to: json_u64(line, "to")? as u32,
+                from: u32_("from")?,
+                to: u32_("to")?,
                 t,
             }),
             _ => None,
@@ -476,39 +480,6 @@ impl Event {
             _ => None,
         }
     }
-}
-
-/// Extract `"key":<integer>` from a flat JSON object line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = json_raw(line, key)?;
-    rest.parse().ok()
-}
-
-/// Extract `"key":true|false`.
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    match json_raw(line, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-/// Extract `"key":"value"`.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let raw = json_raw(line, key)?;
-    raw.strip_prefix('"')?.strip_suffix('"')
-}
-
-/// The raw token following `"key":` up to the next `,` or `}`.
-fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let mut pat = String::with_capacity(key.len() + 3);
-    pat.push('"');
-    pat.push_str(key);
-    pat.push_str("\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
 }
 
 /// A simulation observer. The trait is designed for *monomorphization*:
@@ -1090,7 +1061,37 @@ mod tests {
         for ev in events {
             let line = ev.to_jsonl();
             assert_eq!(Event::parse_jsonl(&line), Some(ev), "line: {line}");
+            // An id past u32 is refused, not wrapped back into range.
+            for key in ["a", "b", "flow", "seq", "node", "from", "to"] {
+                let field = format!("\"{key}\":");
+                let Some(at) = line.find(&field).map(|i| i + field.len()) else {
+                    continue;
+                };
+                let digits = line[at..].find([',', '}']).expect("field ends");
+                let id: u64 = line[at..at + digits].parse().expect("an id");
+                let widened = format!("{}{}{}", &line[..at], id + (1 << 32), &line[at + digits..]);
+                assert_eq!(Event::parse_jsonl(&widened), None, "{widened}");
+            }
         }
+    }
+
+    #[test]
+    fn a_faulted_trace_from_the_previous_reader_round_trips() {
+        // A faulted `dtnsim --trace` capture written before the probe
+        // decoded through `dtn_sim::json`, trimmed to its manifest, rep
+        // markers and one line per event shape.
+        let fixture = include_str!("../../../tests/fixtures/faulted_trace.jsonl");
+        let mut events = 0;
+        for line in fixture.lines() {
+            match Event::parse_jsonl(line) {
+                Some(ev) => {
+                    assert_eq!(ev.to_jsonl(), line);
+                    events += 1;
+                }
+                None => assert!(!line.contains("\"ev\""), "event line refused: {line}"),
+            }
+        }
+        assert_eq!(events, 15, "every event line decodes");
     }
 
     #[test]

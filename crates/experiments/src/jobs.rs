@@ -28,6 +28,7 @@ use crate::TraceCache;
 use dtn_epidemic::{
     protocols, ChurnMode, ChurnPlan, FaultPlan, GilbertElliott, NullProbe, RunMetrics, SimConfig,
 };
+use dtn_sim::json::{escape, Value};
 use dtn_sim::{JobOutcome, SimDuration, SimRng, SimTime, Threads, Watchdog};
 use std::sync::Arc;
 
@@ -56,13 +57,11 @@ pub fn f64_hex(v: f64) -> String {
     format!("\"{:016x}\"", v.to_bits())
 }
 
-/// Parse an [`f64_hex`] token back to the exact `f64`.
-pub fn parse_f64_hex(tok: &str) -> Result<f64, String> {
-    let hex = tok
-        .trim()
-        .strip_prefix('"')
-        .and_then(|t| t.strip_suffix('"'))
-        .ok_or_else(|| format!("expected quoted hex f64, got {tok:?}"))?;
+/// Decode an [`f64_hex`] token back to the exact `f64`.
+pub fn f64_from_hex(v: &Value) -> Result<f64, String> {
+    let hex = v
+        .as_str()
+        .ok_or_else(|| format!("expected a hex f64 string, got {v:?}"))?;
     u64::from_str_radix(hex, 16)
         .map(f64::from_bits)
         .map_err(|e| format!("bad f64 bits {hex:?}: {e}"))
@@ -71,12 +70,12 @@ pub fn parse_f64_hex(tok: &str) -> Result<f64, String> {
 /// One replication outcome as a token: a fixed-order JSON array for a
 /// success, `{"panic":…}` for an isolated panic, or `{"timeout":true}`
 /// for an abandoned attempt. Floats travel as bit patterns, so
-/// [`outcome_from_json`] reproduces the outcome bit-exactly.
+/// [`outcome_from_value`] reproduces the outcome bit-exactly.
 pub fn outcome_to_json(outcome: &RunOutcome) -> String {
     match outcome {
         RunOutcome::TimedOut => "{\"timeout\":true}".to_string(),
         RunOutcome::Panicked(msg) => {
-            format!("{{\"panic\":\"{}\"}}", crate::report::json_escape(msg))
+            format!("{{\"panic\":\"{}\"}}", escape(msg))
         }
         RunOutcome::Ok(m) => format!(
             "[{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}]",
@@ -111,47 +110,47 @@ pub fn outcome_to_json(outcome: &RunOutcome) -> String {
     }
 }
 
-/// Parse one [`outcome_to_json`] token.
-pub fn outcome_from_json(tok: &str) -> Result<RunOutcome, String> {
-    let tok = tok.trim();
-    if tok == "{\"timeout\":true}" {
-        return Ok(RunOutcome::TimedOut);
-    }
-    if let Some(rest) = tok.strip_prefix("{\"panic\":") {
-        let (msg, rest) = parse_json_string(rest)?;
-        if rest != "}" {
-            return Err(format!("bad panic token {tok:?}"));
+const BAD_TOKEN: &str =
+    "bad outcome token: expected a metrics array, {\"panic\":…} or {\"timeout\":true}";
+
+/// Decode one [`outcome_to_json`] token.
+pub fn outcome_from_value(tok: &Value) -> Result<RunOutcome, String> {
+    let fields = match tok {
+        Value::Arr(fields) => fields,
+        Value::Obj(members) => {
+            return match members.as_slice() {
+                [(key, Value::Bool(true))] if key == "timeout" => Ok(RunOutcome::TimedOut),
+                [(key, Value::Str(msg))] if key == "panic" => Ok(RunOutcome::Panicked(msg.clone())),
+                _ => Err(BAD_TOKEN.to_string()),
+            }
         }
-        return Ok(RunOutcome::Panicked(msg));
-    }
-    let body = tok
-        .strip_prefix('[')
-        .and_then(|t| t.strip_suffix(']'))
-        .ok_or_else(|| format!("expected array token, got {tok:?}"))?;
-    let fields: Vec<&str> = body.split(',').collect();
+        _ => return Err(BAD_TOKEN.to_string()),
+    };
     if fields.len() != 25 {
         return Err(format!("expected 25 fields, got {}", fields.len()));
     }
     let int = |i: usize| -> Result<u64, String> {
         fields[i]
-            .trim()
-            .parse::<u64>()
-            .map_err(|e| format!("field {i}: {e}"))
+            .as_u64()
+            .ok_or_else(|| format!("field {i}: expected an unsigned integer"))
     };
-    let completion_time = match fields[3].trim() {
-        "null" => None,
-        ms => Some(SimTime::from_millis(
-            ms.parse::<u64>().map_err(|e| format!("field 3: {e}"))?,
-        )),
+    let narrow = |i: usize| -> Result<u32, String> {
+        fields[i]
+            .as_u32()
+            .ok_or_else(|| format!("field {i}: expected an integer in u32 range"))
+    };
+    let completion_time = match &fields[3] {
+        Value::Null => None,
+        _ => Some(SimTime::from_millis(int(3)?)),
     };
     Ok(RunOutcome::Ok(RunMetrics {
-        total_bundles: int(0)? as u32,
-        delivered: int(1)? as u32,
-        delivery_ratio: parse_f64_hex(fields[2])?,
+        total_bundles: narrow(0)?,
+        delivered: narrow(1)?,
+        delivery_ratio: f64_from_hex(&fields[2])?,
         completion_time,
-        avg_buffer_occupancy: parse_f64_hex(fields[4])?,
-        peak_buffer_occupancy: parse_f64_hex(fields[5])?,
-        avg_duplication_rate: parse_f64_hex(fields[6])?,
+        avg_buffer_occupancy: f64_from_hex(&fields[4])?,
+        peak_buffer_occupancy: f64_from_hex(&fields[5])?,
+        avg_duplication_rate: f64_from_hex(&fields[6])?,
         contacts_processed: int(7)?,
         bundle_transmissions: int(8)?,
         ack_records_sent: int(9)?,
@@ -171,6 +170,45 @@ pub fn outcome_from_json(tok: &str) -> Result<RunOutcome, String> {
         churn_drops: int(23)?,
         end_time: SimTime::from_millis(int(24)?),
     }))
+}
+
+/// The outcome tokens of one point, comma-joined: the body of the
+/// `runs` array in checkpoint lines and wire fragments alike.
+pub(crate) fn runs_to_json(outcomes: &[RunOutcome]) -> String {
+    let mut runs = String::new();
+    for (i, o) in outcomes.iter().enumerate() {
+        if i > 0 {
+            runs.push(',');
+        }
+        runs.push_str(&outcome_to_json(o));
+    }
+    runs
+}
+
+/// Decode the `attempts` and `runs` arrays of a checkpoint line or wire
+/// fragment: one attempt count per outcome, in replication order.
+pub(crate) fn runs_from_value(doc: &Value) -> Result<(Vec<RunOutcome>, Vec<u32>), String> {
+    let array = |key: &str| {
+        doc.get(key)
+            .and_then(Value::as_array)
+            .ok_or_else(|| format!("missing {key:?} array"))
+    };
+    let attempts = array("attempts")?
+        .iter()
+        .map(|a| a.as_u32().ok_or_else(|| format!("bad attempt count {a:?}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let outcomes = array("runs")?
+        .iter()
+        .map(outcome_from_value)
+        .collect::<Result<Vec<_>, _>>()?;
+    if attempts.len() != outcomes.len() {
+        return Err(format!(
+            "{} attempt counts for {} runs",
+            attempts.len(),
+            outcomes.len()
+        ));
+    }
+    Ok((outcomes, attempts))
 }
 
 /// One self-contained sweep point: everything a run depends on, nothing
@@ -360,8 +398,8 @@ impl PointJob {
              \"root_seed\":{},\"trace_seed\":{},\"buffer\":{},\"tx_time_secs\":{},\
              \"transfer_loss\":{},\"faults\":{{\"truncation_prob\":{},\"ack_loss_prob\":{},\
              \"burst\":{},\"churn\":{}}},\"retries\":{},\"point_timeout_secs\":{},\"audit\":{}}}",
-            crate::report::json_escape(&self.protocol),
-            crate::report::json_escape(&self.mobility.spec()),
+            escape(&self.protocol),
+            escape(&self.mobility.spec()),
             self.load,
             self.replications,
             self.root_seed,
@@ -425,74 +463,41 @@ impl PointOutcome {
     /// outcome bit-identically.
     pub fn to_wire_json(&self) -> String {
         let attempts: Vec<String> = self.attempts.iter().map(|a| a.to_string()).collect();
-        let mut runs = String::new();
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                runs.push(',');
-            }
-            runs.push_str(&outcome_to_json(o));
-        }
-        let mut violations = String::new();
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                violations.push(',');
-            }
-            violations.push('"');
-            violations.push_str(&crate::report::json_escape(v));
-            violations.push('"');
-        }
+        let violations: Vec<String> = self
+            .violations
+            .iter()
+            .map(|v| format!("\"{}\"", escape(v)))
+            .collect();
         format!(
             "{{\"attempts\":[{}],\"slow\":{},\"runs\":[{}],\"violations\":[{}]}}",
             attempts.join(","),
             self.slow,
-            runs,
-            violations
+            runs_to_json(&self.outcomes),
+            violations.join(",")
         )
     }
 
     /// Parse a [`PointOutcome::to_wire_json`] line.
     pub fn from_wire_json(s: &str) -> Result<PointOutcome, String> {
-        let rest = s
-            .trim()
-            .strip_prefix("{\"attempts\":[")
-            .ok_or_else(|| format!("bad point outcome {s:?}"))?;
-        let (attempts, rest) = rest
-            .split_once("],\"slow\":")
-            .ok_or_else(|| format!("bad point outcome {s:?}"))?;
-        let attempts: Vec<u32> = attempts
-            .split(',')
-            .filter(|t| !t.trim().is_empty())
-            .map(|t| {
-                t.trim()
-                    .parse::<u32>()
-                    .map_err(|e| format!("bad attempt count {t:?}: {e}"))
+        let doc = Value::parse(s).map_err(|e| format!("bad point outcome: {e}"))?;
+        let (outcomes, attempts) =
+            runs_from_value(&doc).map_err(|e| format!("bad point outcome: {e}"))?;
+        let slow = doc
+            .get("slow")
+            .and_then(Value::as_u64)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or("bad point outcome: bad slow count")?;
+        let violations = doc
+            .get("violations")
+            .and_then(Value::as_array)
+            .ok_or("bad point outcome: missing \"violations\" array")?
+            .iter()
+            .map(|v| {
+                v.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("bad point outcome: violation {v:?} is not a string"))
             })
             .collect::<Result<_, _>>()?;
-        let (slow, rest) = rest
-            .split_once(",\"runs\":[")
-            .ok_or_else(|| format!("bad point outcome {s:?}"))?;
-        let slow: usize = slow
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad slow count {slow:?}: {e}"))?;
-        let (runs, rest) = rest
-            .split_once("],\"violations\":[")
-            .ok_or_else(|| format!("bad point outcome {s:?}"))?;
-        let violations_body = rest
-            .strip_suffix("]}")
-            .ok_or_else(|| format!("bad point outcome {s:?}"))?;
-        let mut outcomes = Vec::new();
-        for tok in split_top_level(runs) {
-            outcomes.push(outcome_from_json(tok)?);
-        }
-        if attempts.len() != outcomes.len() {
-            return Err(format!(
-                "point outcome has {} attempt counts for {} runs",
-                attempts.len(),
-                outcomes.len()
-            ));
-        }
-        let violations = parse_string_array(violations_body)?;
         Ok(PointOutcome {
             outcomes,
             attempts,
@@ -500,104 +505,6 @@ impl PointOutcome {
             slow,
         })
     }
-}
-
-/// Split a comma-joined sequence of outcome tokens at bracket depth 0,
-/// skipping over quoted strings (panic messages may hold any bracket or
-/// comma). Unbalanced closers never underflow: the token they end up in
-/// fails to parse instead.
-pub(crate) fn split_top_level(body: &str) -> Vec<&str> {
-    let mut toks = Vec::new();
-    let (mut depth, mut start, mut in_str, mut escaped) = (0usize, 0usize, false, false);
-    for (i, c) in body.char_indices() {
-        if in_str {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '[' | '{' => depth += 1,
-            ']' | '}' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                toks.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if !body[start..].trim().is_empty() {
-        toks.push(&body[start..]);
-    }
-    toks
-}
-
-/// Parse a JSON array *body* (no surrounding brackets) of escaped
-/// strings.
-fn parse_string_array(body: &str) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    loop {
-        rest = rest.trim_start_matches([',', ' ', '\t', '\n']);
-        if rest.is_empty() {
-            return Ok(out);
-        }
-        let (s, after) =
-            parse_json_string(rest).map_err(|e| format!("{e} in string array {body:?}"))?;
-        out.push(s);
-        rest = after;
-    }
-}
-
-/// Parse the JSON string literal opening `s`, decoding its escapes (the
-/// inverse of `report::json_escape`); returns the string and whatever
-/// follows its closing quote.
-fn parse_json_string(s: &str) -> Result<(String, &str), String> {
-    let mut chars = s.char_indices();
-    match chars.next() {
-        Some((_, '"')) => {}
-        other => return Err(format!("expected a string, got {other:?}")),
-    }
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &s[i + 1..])),
-            '\\' => {
-                let Some((_, e)) = chars.next() else {
-                    return Err(format!("dangling escape in {s:?}"));
-                };
-                match e {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let Some((_, h)) = chars.next() else {
-                                return Err(format!("bad \\u escape in {s:?}"));
-                            };
-                            code = code * 16
-                                + h.to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u digit {h:?} in {s:?}"))?;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad codepoint {code:#x}"))?,
-                        );
-                    }
-                    other => return Err(format!("bad escape \\{other} in {s:?}")),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err(format!("unterminated string in {s:?}"))
 }
 
 /// Construct a fault plan for tests and examples exercising every field.
@@ -710,6 +617,22 @@ mod tests {
         };
         let back = PointOutcome::from_wire_json(&mixed.to_wire_json()).unwrap();
         assert_eq!(back, mixed);
+    }
+
+    #[test]
+    fn a_wire_fragment_from_the_previous_reader_round_trips() {
+        // Written by the prefix-matching decoder's release, from a real
+        // audited run plus an isolated panic, a timeout and violations
+        // that hold every character the old scanner special-cased.
+        let fixture = include_str!("../../../tests/fixtures/wire_fragment.json").trim_end();
+        let outcome = PointOutcome::from_wire_json(fixture).unwrap();
+        assert_eq!(outcome.attempts, vec![1, 3, 2, 1]);
+        assert!(
+            matches!(&outcome.outcomes[1], RunOutcome::Panicked(m) if m.contains("] bracket } brace\n"))
+        );
+        assert_eq!(outcome.outcomes[2], RunOutcome::TimedOut);
+        assert_eq!(outcome.violations.len(), 2);
+        assert_eq!(outcome.to_wire_json(), fixture);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! [`to_json`]: SweepReport::to_json
 
 use dtn_epidemic::RunMetrics;
+use dtn_sim::json::escape;
 use dtn_sim::Histogram;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -75,25 +76,6 @@ pub fn unix_time_secs() -> u64 {
         .unwrap_or(0)
 }
 
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render an `f64` as a JSON token (`null` for non-finite values).
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -142,9 +124,9 @@ impl RunManifest {
             "{{\"manifest\":\"{}\",\"protocol\":\"{}\",\"mobility\":\"{}\",\
              \"load\":{},\"replications\":{},\"seed\":{},\"buffer\":{},\
              \"tx_time_secs\":{},\"git_rev\":{},\"unix_time\":{}}}",
-            json_escape(&self.tool),
-            json_escape(&self.protocol),
-            json_escape(&self.mobility),
+            escape(&self.tool),
+            escape(&self.protocol),
+            escape(&self.mobility),
             self.load,
             self.replications,
             self.seed,
@@ -152,7 +134,7 @@ impl RunManifest {
             self.tx_time_secs,
             self.git_rev
                 .as_deref()
-                .map(|r| format!("\"{}\"", json_escape(r)))
+                .map(|r| format!("\"{}\"", escape(r)))
                 .unwrap_or_else(|| "null".into()),
             self.unix_time_secs,
         )
@@ -484,7 +466,7 @@ impl SweepReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"workload\": \"{}\",", json_escape(&self.workload));
+        let _ = writeln!(out, "  \"workload\": \"{}\",", escape(&self.workload));
         let _ = writeln!(out, "  \"wall_secs\": {:.3},", self.wall_secs);
         let _ = writeln!(out, "  \"simulation_runs\": {},", self.simulation_runs);
         let _ = writeln!(out, "  \"sweeps\": {},", self.sweeps);
@@ -531,7 +513,7 @@ impl SweepReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    \"{}\"", json_escape(v));
+            let _ = write!(out, "\n    \"{}\"", escape(v));
         }
         out.push_str(if self.violations.is_empty() {
             "],\n"
@@ -547,7 +529,7 @@ impl SweepReport {
             let _ = write!(
                 out,
                 "\n    {{\"label\": \"{}\", \"wall_secs\": {:.3}}}",
-                json_escape(&t.label),
+                escape(&t.label),
                 t.wall_secs
             );
         }
@@ -571,8 +553,8 @@ impl SweepReport {
                  \"signaling_bytes\": {}, \"false_positive_transmissions\": {}, \
                  \"faults\": {{\"contacts_skipped\": {}, \"sessions_truncated\": {}, \
                  \"ack_losses\": {}, \"churn_wipes\": {}}}, \"timing\": {}}}",
-                json_escape(&p.protocol),
-                json_escape(&p.mobility),
+                escape(&p.protocol),
+                escape(&p.mobility),
                 p.load,
                 p.runs,
                 p.failures,
@@ -603,12 +585,7 @@ impl SweepReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {}",
-                json_escape(&h.name),
-                hist_json(&h.hist)
-            );
+            let _ = write!(out, "\n    \"{}\": {}", escape(&h.name), hist_json(&h.hist));
         }
         out.push_str(if self.histograms.is_empty() {
             "}\n"
@@ -669,8 +646,8 @@ fn federation_json(f: Option<&FederationStats>) -> String {
         let _ = write!(
             shards,
             "{{\"addr\": \"{}\", \"state\": \"{}\", \"completed\": {}}}",
-            json_escape(&s.addr),
-            json_escape(&s.state),
+            escape(&s.addr),
+            escape(&s.state),
             s.completed
         );
     }
@@ -826,7 +803,7 @@ mod tests {
 
     #[test]
     fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! the very same jobs to a `dtnsimd` daemon and reassembles the report
 //! with [`assemble_grid_report`] — canonically identical either way.
 
-use crate::jobs::{outcome_from_json, outcome_to_json, split_top_level, PointJob, PointOutcome};
+use crate::jobs::{runs_from_value, runs_to_json, PointJob, PointOutcome};
 use crate::runner::SweepConfig;
 use crate::scenarios::Mobility;
 use crate::{Reporter, SweepReport, TraceCache};
 use dtn_epidemic::{protocols, ChurnMode, ChurnPlan, FaultPlan, GilbertElliott, RunMetrics};
+use dtn_sim::json::{escape, Value};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
@@ -163,20 +164,15 @@ pub fn grid_point_jobs(mobility: Mobility, cfg: &SweepConfig) -> Result<Vec<Grid
 
 /// One finished point as a checkpoint line (no trailing newline): the
 /// key, the per-replication attempt counts, then the outcome tokens.
-fn point_to_line(key: &str, outcomes: &[RunOutcome], attempts: &[u32]) -> String {
-    let mut runs = String::new();
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&outcome_to_json(o));
-    }
+/// Public (but hidden) for the decoder fuzz tests.
+#[doc(hidden)]
+pub fn point_to_line(key: &str, outcomes: &[RunOutcome], attempts: &[u32]) -> String {
     let attempts: Vec<String> = attempts.iter().map(|a| a.to_string()).collect();
     format!(
         "{{\"point\":\"{}\",\"attempts\":[{}],\"runs\":[{}]}}",
-        crate::report::json_escape(key),
+        escape(key),
         attempts.join(","),
-        runs
+        runs_to_json(outcomes)
     )
 }
 
@@ -184,40 +180,17 @@ type PointLine = (String, Vec<RunOutcome>, Vec<u32>);
 /// Finished points keyed by checkpoint key: (outcomes, attempt counts).
 type DoneMap = HashMap<String, (Vec<RunOutcome>, Vec<u32>)>;
 
-fn point_from_line(line: &str) -> Result<PointLine, String> {
-    let rest = line
-        .trim()
-        .strip_prefix("{\"point\":\"")
-        .ok_or_else(|| format!("bad checkpoint line {line:?}"))?;
-    let (key, rest) = rest
-        .split_once("\",\"attempts\":[")
-        .ok_or_else(|| format!("bad checkpoint line {line:?}"))?;
-    let (attempts, rest) = rest
-        .split_once("],\"runs\":[")
-        .ok_or_else(|| format!("bad checkpoint line {line:?}"))?;
-    let attempts: Vec<u32> = attempts
-        .split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| {
-            t.trim()
-                .parse::<u32>()
-                .map_err(|e| format!("bad attempt count {t:?}: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let body = rest
-        .strip_suffix("]}")
-        .ok_or_else(|| format!("bad checkpoint line {line:?}"))?;
-    let outcomes = split_top_level(body)
-        .into_iter()
-        .map(outcome_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    if attempts.len() != outcomes.len() {
-        return Err(format!(
-            "checkpoint point {key:?} has {} attempt counts for {} runs",
-            attempts.len(),
-            outcomes.len()
-        ));
-    }
+/// Decode a [`point_to_line`] line: (key, outcomes, attempt counts).
+#[doc(hidden)]
+pub fn point_from_line(line: &str) -> Result<PointLine, String> {
+    let bad = |e: String| format!("bad checkpoint line: {e}");
+    let doc = Value::parse(line).map_err(bad)?;
+    let key = doc
+        .get("point")
+        .and_then(Value::as_str)
+        .ok_or_else(|| bad("missing \"point\" key".into()))?;
+    let (outcomes, attempts) =
+        runs_from_value(&doc).map_err(|e| bad(format!("point {key:?}: {e}")))?;
     Ok((key.to_string(), outcomes, attempts))
 }
 
@@ -230,7 +203,7 @@ fn manifest_line(mobility: Mobility, cfg: &SweepConfig) -> String {
     format!(
         "{{\"ckpt\":\"robustness\",\"mobility\":\"{}\",\"base_seed\":{},\"replications\":{},\
          \"loads\":{:?},\"retries\":{},\"timeout_secs\":{}}}",
-        crate::report::json_escape(&mobility.label()),
+        escape(&mobility.label()),
         cfg.base_seed,
         cfg.replications,
         cfg.loads,
@@ -547,6 +520,7 @@ pub fn record_supervised_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::{outcome_from_value, outcome_to_json};
     use crate::runner::point_sim_config;
     use dtn_epidemic::{simulate, Workload};
     use dtn_sim::{SimRng, Threads};
@@ -561,6 +535,10 @@ mod tests {
             &SweepConfig::default(),
         );
         simulate(&trace, &workload, &cfg, SimRng::new(seed))
+    }
+
+    fn outcome_from_json(token: &str) -> Result<RunOutcome, String> {
+        outcome_from_value(&Value::parse(token)?)
     }
 
     #[test]
@@ -606,6 +584,52 @@ mod tests {
         ] {
             assert!(point_from_line(line).is_err(), "{line} parsed");
         }
+        // A count past u32 is refused, not wrapped back into range.
+        let metrics = RunMetrics {
+            total_bundles: 5,
+            delivered: 5,
+            ..m(4)
+        };
+        let line = point_to_line("k", &[RunOutcome::Ok(metrics)], &[1]);
+        for (field, narrowed) in [("total_bundles", "[5,"), ("delivered", ",5,\"")] {
+            let widened = narrowed.replace('5', "4294967301");
+            let bad = line.replacen(narrowed, &widened, 1);
+            assert_ne!(bad, line);
+            let err = point_from_line(&bad).expect_err(field);
+            assert!(err.contains("u32 range"), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_from_the_previous_reader_round_trips() {
+        // Written by the prefix-matching decoder's release: a clean
+        // point, one whose second replication panicked twice with a
+        // message full of JSON specials, one that timed out, and a
+        // faulted cell's point.
+        let fixture = include_str!("../../../tests/fixtures/robustness.ckpt");
+        let cfg = SweepConfig {
+            loads: vec![5],
+            replications: 2,
+            retries: 1,
+            point_timeout_secs: Some(1),
+            ..SweepConfig::default()
+        };
+        let mut lines = fixture.lines();
+        assert_eq!(
+            lines.next(),
+            Some(manifest_line(Mobility::Interval(2000), &cfg).as_str())
+        );
+        let mut seen = Vec::new();
+        for line in lines {
+            let (key, outcomes, attempts) = point_from_line(line).unwrap();
+            assert_eq!(point_to_line(&key, &outcomes, &attempts), line);
+            seen.extend(outcomes);
+        }
+        assert_eq!(seen.len(), 8);
+        assert!(seen.contains(&RunOutcome::TimedOut));
+        assert!(seen.contains(&RunOutcome::Panicked(
+            "injected \"quote\" \\ backslash ] bracket } brace\nsecond line".into()
+        )));
     }
 
     #[test]

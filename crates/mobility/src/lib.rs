@@ -26,7 +26,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod analysis;
-pub mod association;
 pub mod cache;
 pub mod contact;
 pub mod rwp;
@@ -36,7 +35,6 @@ pub mod synthetic;
 pub mod trace_io;
 
 pub use analysis::{Ccdf, TraceSummary};
-pub use association::{parse_association_log, parse_association_str};
 pub use cache::{TraceCache, TraceKey};
 pub use contact::{Contact, ContactTrace, NodeId, TraceInvariantError};
 pub use rwp::RwpParams;

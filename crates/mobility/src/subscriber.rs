@@ -67,14 +67,13 @@ impl Default for SubscriberParams {
     }
 }
 
-/// One stay of one node at a rendezvous location (a subscriber point, or
-/// an access point in association-log replays).
+/// One stay of one node at a subscriber point.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Visit {
-    pub(crate) node: NodeId,
-    pub(crate) point: u32,
-    pub(crate) arrive: SimTime,
-    pub(crate) depart: SimTime,
+struct Visit {
+    node: NodeId,
+    point: u32,
+    arrive: SimTime,
+    depart: SimTime,
 }
 
 impl SubscriberParams {
@@ -102,7 +101,7 @@ impl SubscriberParams {
     }
 
     /// Contacts: pairwise presence overlaps at the same point, in exactly
-    /// the order [`co_location_contacts`] yields them. Grouping by point is
+    /// the order `co_location_contacts` yields them. Grouping by point is
     /// linear; within a point `(arrive, node)` is unique (each node's
     /// arrivals strictly increase), so an unstable per-point sort matches
     /// the general path's global stable sort.
@@ -194,12 +193,10 @@ fn group_by_point(visits: Vec<Visit>, points: usize) -> (Vec<Visit>, Vec<usize>)
 
 /// Convert point visits into pairwise contacts: every overlap of two
 /// different nodes' stays at the same point, clamped to `cap`. The general
-/// path, for visits in any order (association logs may repeat a key).
-pub(crate) fn co_location_contacts(
-    visits: &mut [Visit],
-    cap: SimDuration,
-    horizon: SimTime,
-) -> Vec<Contact> {
+/// path, for visits in any order: the reference the per-point grouping
+/// is tested against.
+#[cfg(test)]
+fn co_location_contacts(visits: &mut [Visit], cap: SimDuration, horizon: SimTime) -> Vec<Contact> {
     // Group by point, then sweep each group's visits sorted by arrival.
     visits.sort_by_key(|v| (v.point, v.arrive, v.node));
     let mut contacts = Vec::new();
@@ -312,6 +309,13 @@ mod tests {
             SimTime::from_secs(10_000),
         );
         assert_eq!(contacts[0].duration(), SimDuration::from_secs(500));
+        // Stays still open at the horizon close there, inside the cap.
+        let contacts = co_location_contacts(
+            &mut visits,
+            SimDuration::from_secs(500),
+            SimTime::from_secs(300),
+        );
+        assert_eq!(contacts[0].end, SimTime::from_secs(300));
     }
 
     #[test]

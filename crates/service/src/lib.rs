@@ -41,7 +41,9 @@
 //! * [`cron`] — the single jittered periodic-task scheduler thread that
 //!   drives the janitor, journal flushes, telemetry snapshots, and
 //!   stale-`.tmp` sweeps;
-//! * [`json`] — the minimal std-only JSON reader backing the protocol.
+//! * [`json`] — re-exported from `dtn-sim`: the workspace's one JSON
+//!   reader, which decodes every frame, request body and journal record
+//!   this crate reads.
 //!
 //! The load-bearing invariant, checked end to end by `tests/service.rs`:
 //! for any sweep, *local run*, *daemon run*, and *daemon re-run served
@@ -60,11 +62,12 @@ pub mod daemon;
 pub mod http;
 pub mod httpd;
 pub mod janitor;
-pub mod json;
 pub mod membership;
 pub mod proxy;
 pub mod resilient;
 pub mod wire;
+
+pub use dtn_sim::json;
 
 pub use cache::{job_key, JournalConfig, RecoveryStats, ResultStore, ENGINE_VERSION};
 pub use client::{Client, ClientError, RetryPolicy, SubmitTicket};

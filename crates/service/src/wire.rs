@@ -52,7 +52,7 @@
 use crate::crc::crc32;
 use crate::json::Value;
 use dtn_epidemic::{ChurnMode, ChurnPlan, FaultPlan, GilbertElliott};
-use dtn_experiments::jobs::PointJob;
+use dtn_experiments::jobs::{f64_from_hex, PointJob};
 use dtn_experiments::Mobility;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -253,13 +253,7 @@ fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
 }
 
 fn hex_f64(v: &Value, key: &str) -> Result<f64, String> {
-    let raw = v
-        .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("field {key:?} must be a hex-bits string"))?;
-    u64::from_str_radix(raw, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("field {key:?}: bad f64 bits {raw:?}: {e}"))
+    f64_from_hex(field(v, key)?).map_err(|e| format!("field {key:?}: {e}"))
 }
 
 fn u64_field(v: &Value, key: &str) -> Result<u64, String> {

@@ -18,7 +18,10 @@
 //!   registry, for the service/runner layers above;
 //! * [`parallel`] — a `std::thread::scope` fork–join executor that fans
 //!   replications out across cores under watchdog supervision while
-//!   keeping results in deterministic order.
+//!   keeping results in deterministic order;
+//! * [`json`] — the workspace's one JSON reader ([`json::Value`]) and
+//!   string escaper: service frames, the result-cache journal, robustness
+//!   checkpoints and probe JSONL traces all decode through it.
 //!
 //! Nothing in this crate knows about bundles, buffers or mobility — those
 //! live in `dtn-mobility` and `dtn-epidemic` on top.
@@ -28,6 +31,7 @@
 
 pub mod engine;
 pub mod events;
+pub mod json;
 pub mod parallel;
 pub mod rng;
 pub mod stats;

@@ -9,7 +9,8 @@
 //! salvaged) and the self-healing client still assembles a final report
 //! **byte-identical** to a clean, fully local run.
 
-use dtn_experiments::jobs::{PointJob, PointOutcome};
+use dtn_experiments::jobs::{PointJob, PointOutcome, RunOutcome};
+use dtn_experiments::robustness::{point_from_line, point_to_line};
 use dtn_experiments::{record_supervised_point, Mobility, SweepConfig, SweepReport, TraceCache};
 use dtn_service::json::Value;
 use dtn_service::wire::{read_frame, write_frame};
@@ -21,6 +22,7 @@ use proptest::prelude::*;
 use std::io::{Cursor, Write as _};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 fn chaos_cfg() -> SweepConfig {
@@ -173,6 +175,105 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Checkpoint and fragment decoding under mangled bytes (property tests).
+// ---------------------------------------------------------------------
+
+/// A point with every outcome kind — a real run, a panic whose message
+/// is `msg`, a timeout — and a violation quoting `msg`, as a checkpoint
+/// line and as a wire fragment.
+fn encoded_point(msg: &str) -> (PointOutcome, String, String) {
+    static RUN: OnceLock<RunOutcome> = OnceLock::new();
+    let run = RUN.get_or_init(|| {
+        let job = &chaos_jobs(&["immunity"], &[5])[0];
+        let out = job
+            .run(Threads::Sequential, &TraceCache::new())
+            .expect("run");
+        out.outcomes[0].clone()
+    });
+    let point = PointOutcome {
+        outcomes: vec![
+            run.clone(),
+            RunOutcome::Panicked(msg.to_string()),
+            RunOutcome::TimedOut,
+        ],
+        attempts: vec![1, 3, 2],
+        violations: vec![format!("rep 0: {msg}")],
+        slow: 1,
+    };
+    let line = point_to_line(msg, &point.outcomes, &point.attempts);
+    let fragment = point.to_wire_json();
+    (point, line, fragment)
+}
+
+/// Feed `text` to both decoders: any `Result` is fine, a panic is not.
+fn decode_both(text: &str) {
+    let _ = point_from_line(text);
+    let _ = PointOutcome::from_wire_json(text);
+}
+
+/// `text` with the byte at `idx_raw % len` xor-ed by `mask`, read back
+/// lossily (the decoders take `&str`).
+fn corrupt(text: &str, idx_raw: usize, mask: u32) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let idx = idx_raw % bytes.len();
+    bytes[idx] ^= mask as u8;
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    /// Both encodings decode back to the point, and every strict prefix
+    /// of either — a torn checkpoint tail, a short fragment — is an
+    /// error, never a shorter point.
+    #[test]
+    fn torn_checkpoint_lines_and_fragments_are_errors(msg in ".*") {
+        let (point, line, fragment) = encoded_point(&msg);
+        let (key, outcomes, attempts) = point_from_line(&line).expect("clean line");
+        prop_assert_eq!(key, msg);
+        prop_assert_eq!(&outcomes, &point.outcomes);
+        prop_assert_eq!(&attempts, &point.attempts);
+        prop_assert_eq!(PointOutcome::from_wire_json(&fragment).expect("clean fragment"), point);
+        let prefixes = |text: &str| {
+            (0..text.len())
+                .filter(|&cut| text.is_char_boundary(cut))
+                .map(|cut| text[..cut].to_string())
+                .collect::<Vec<_>>()
+        };
+        for torn in prefixes(&line) {
+            prop_assert!(point_from_line(&torn).is_err(), "torn line {:?} decoded", torn);
+        }
+        for torn in prefixes(&fragment) {
+            prop_assert!(
+                PointOutcome::from_wire_json(&torn).is_err(),
+                "torn fragment {:?} decoded",
+                torn
+            );
+        }
+    }
+
+    /// Any single corrupted byte in a checkpoint line or fragment
+    /// decodes or errors; it never panics the decoder.
+    #[test]
+    fn corrupted_checkpoint_lines_and_fragments_never_panic(
+        msg in ".*",
+        idx_raw in 0usize..1_000_000,
+        mask in 1u32..256,
+    ) {
+        let (_, line, fragment) = encoded_point(&msg);
+        decode_both(&corrupt(&line, idx_raw, mask));
+        decode_both(&corrupt(&fragment, idx_raw, mask));
+    }
+
+    /// Garbage never panics the decoders.
+    #[test]
+    fn garbage_never_panics_the_checkpoint_and_fragment_decoders(
+        bytes in prop::collection::vec(0u32..256, 0..256),
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        decode_both(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Daemon ingress hardening.
 // ---------------------------------------------------------------------
 
@@ -214,6 +315,42 @@ fn daemon_rejects_corrupt_frames_with_structured_error_and_stays_up() {
     let mut client = Client::connect(&addr).expect("connect client");
     let stats = client.stats_raw().expect("stats");
     assert_eq!(stat_u64(&stats, "bad_frames"), 2);
+    daemon.request_shutdown();
+    daemon.join().expect("clean shutdown");
+}
+
+#[test]
+fn daemon_answers_a_deeply_nested_frame_with_an_error_and_stays_up() {
+    let daemon = Daemon::spawn(DaemonConfig {
+        workers: 1,
+        job_threads: Threads::Sequential,
+        ..DaemonConfig::default()
+    })
+    .expect("daemon should bind");
+    let addr = daemon.local_addr().to_string();
+
+    // A CRC-valid frame of 100k open brackets: a parser that recursed
+    // once per level would overflow the connection thread's stack and
+    // abort the whole process.
+    let mut stream = TcpStream::connect(&addr).expect("connect raw");
+    stream
+        .write_all(&frame_bytes(&"[".repeat(100_000)))
+        .expect("send nested frame");
+    let reply = read_frame(&mut stream)
+        .expect("structured reply, not a dead daemon")
+        .expect("a frame");
+    let reply = Value::parse(&reply).expect("the error reply parses");
+    assert_eq!(reply.get("type").and_then(Value::as_str), Some("error"));
+    let message = reply.get("message").and_then(Value::as_str).unwrap_or("");
+    assert!(message.contains("nesting deeper than"), "{message}");
+
+    let mut client = Client::connect(&addr).expect("connect client");
+    let stats = client.stats_raw().expect("stats after the nested frame");
+    assert_eq!(
+        stat_u64(&stats, "bad_frames"),
+        0,
+        "the frame itself was valid"
+    );
     daemon.request_shutdown();
     daemon.join().expect("clean shutdown");
 }

@@ -251,21 +251,43 @@ fn kill_nine_a_worker_mid_federated_sweep_and_the_report_matches_a_clean_run() {
         worker_addrs.push(wait_for_file(&addr_file, "worker address"));
     }
 
-    // Worker 2 sits behind the fault proxy: drops, truncation, and
-    // severed connections on its coordinator link, reproducible by
-    // seed. Four grace frames keep heartbeat probes (2-frame
-    // connections) clean while the long-lived job connections take the
-    // damage.
-    let plan = ProxyPlan::parse("drop=0.05,trunc=0.04,sever=0.1,frames=4,seed=2024").expect("plan");
-    let mut proxy = FaultProxy::spawn("127.0.0.1:0", &worker_addrs[2], plan).expect("proxy");
-    let fed_workers = vec![
-        worker_addrs[0].clone(),
-        worker_addrs[1].clone(),
-        proxy.local_addr().to_string(),
-    ];
+    // Heavy enough that the sweep is still mid-flight when the kill
+    // lands (hundreds of ms per point, one worker thread per daemon).
+    let jobs = fed_jobs(
+        &["pure", "ttl=300", "immunity", "ec", "ecttl", "dynttl"],
+        &[600, 1000],
+        200,
+    );
+    let local = local_fragments(&jobs);
+
+    // Worker 2 sits behind the fault proxy. Four grace frames keep
+    // heartbeat probes (2-frame connections) clean; every later frame
+    // of a connection is a fault — a sever, or now and then a drop or
+    // truncation, reproducible by seed. The proxy is re-bound until the
+    // ring hands its shard 3 to 6 of the points, so the coordinator's
+    // submit burst alone carries a third exchange on the proxied link
+    // (a certain fault), yet never fails the shard often enough in a
+    // row to have it declared dead.
+    let plan = ProxyPlan::parse("drop=0.05,trunc=0.04,sever=1,frames=4,seed=2024").expect("plan");
+    let virtual_nodes = CoordinatorConfig::default().virtual_nodes;
+    let (mut proxy, fed_workers, owners) = (0..50)
+        .find_map(|_| {
+            let proxy = FaultProxy::spawn("127.0.0.1:0", &worker_addrs[2], plan).expect("proxy");
+            let fed_workers = vec![
+                worker_addrs[0].clone(),
+                worker_addrs[1].clone(),
+                proxy.local_addr().to_string(),
+            ];
+            let owners = predicted_owners(&jobs, &fed_workers, virtual_nodes);
+            let proxied = owners.iter().filter(|&&o| o == 2).count();
+            (3..=6)
+                .contains(&proxied)
+                .then_some((proxy, fed_workers, owners))
+        })
+        .expect("no ring in 50 binds gave the proxied shard 3 to 6 points");
 
     let coordinator = Coordinator::spawn(CoordinatorConfig {
-        workers: fed_workers.clone(),
+        workers: fed_workers,
         heartbeat_interval_ms: 100,
         probe_timeout_ms: 1_000,
         suspect_after: 2,
@@ -276,22 +298,8 @@ fn kill_nine_a_worker_mid_federated_sweep_and_the_report_matches_a_clean_run() {
     .expect("coordinator should bind");
     let fed_addr = coordinator.local_addr().to_string();
 
-    // Heavy enough that the sweep is still mid-flight when the kill
-    // lands (hundreds of ms per point, one worker thread per daemon).
-    let jobs = fed_jobs(
-        &["pure", "ttl=300", "immunity", "ec", "ecttl", "dynttl"],
-        &[600, 1000],
-        200,
-    );
-    let local = local_fragments(&jobs);
-
     // Kill the un-proxied worker that owns the most points, so the dead
     // shard is guaranteed to strand work for failover to rescue.
-    let owners = predicted_owners(
-        &jobs,
-        &fed_workers,
-        CoordinatorConfig::default().virtual_nodes,
-    );
     let owned = |shard: usize| owners.iter().filter(|&&o| o == shard).count();
     let kill_index = if owned(0) >= owned(1) { 0 } else { 1 };
     assert!(
@@ -373,6 +381,7 @@ fn kill_nine_a_worker_mid_federated_sweep_and_the_report_matches_a_clean_run() {
     );
     let counters = proxy.counters();
     let injected = counters.dropped + counters.truncated + counters.severed + counters.corrupted;
+    eprintln!("federation: the proxied link took {injected} faults: {counters:?}");
     assert!(
         injected > 0,
         "the fault plan never fired — the proxied link proved nothing: {counters:?}"

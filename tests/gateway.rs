@@ -525,6 +525,23 @@ fn dead_upstreams_bad_specs_and_unknown_routes_map_to_502_400_404_405() {
     gateway.shutdown();
 }
 
+#[test]
+fn a_deeply_nested_body_is_a_400_and_the_gateway_keeps_serving() {
+    let gateway = gateway_for("127.0.0.1:9", 0);
+    let gw = gateway.local_addr().to_string();
+
+    // 100k open brackets: a parser that recursed once per level would
+    // overflow the connection thread's stack and abort the process.
+    let (status, body, _) = post_sweep(&gw, &"[".repeat(100_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+
+    let protos = httpd::http_request(&gw, "GET", "/v1/protocols", None).expect("protocols");
+    assert_eq!(protos.status, 200);
+    assert!(String::from_utf8_lossy(&protos.body).contains("\"spec\":\"pure\""));
+    gateway.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Janitor: byte budget, eviction counters, cold-restart survivors
 // ---------------------------------------------------------------------

@@ -14,6 +14,7 @@
 
 use dtn_experiments::jobs::PointJob;
 use dtn_experiments::{Mobility, SweepConfig, TraceCache};
+use dtn_service::json::Value;
 use dtn_service::wire::{read_frame, write_frame};
 use dtn_service::{Client, Daemon, DaemonConfig};
 use dtn_sim::Threads;
@@ -133,11 +134,9 @@ fn the_queue_rejects_beyond_capacity_and_queued_jobs_are_cancellable() {
     );
     // The hint is dynamic — queue depth × observed mean sim time — but
     // always floored at the configured retry_after_ms.
-    let hint: u64 = third
-        .split("\"retry_after_ms\":")
-        .nth(1)
-        .and_then(|rest| rest.split(',').next())
-        .and_then(|n| n.parse().ok())
+    let hint: u64 = Value::parse(&third)
+        .ok()
+        .and_then(|v| v.get("retry_after_ms").and_then(Value::as_u64))
         .unwrap_or_else(|| panic!("no retry_after_ms in {third}"));
     assert!(
         hint >= 7 && third.contains("\"queue_depth\":2"),
