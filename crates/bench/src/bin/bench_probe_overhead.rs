@@ -1,46 +1,41 @@
-//! Probe-overhead guard: proves the telemetry layer costs nothing when
-//! disabled.
+//! Probe-overhead guards: the invariant auditor stays cheap, and a
+//! disabled telemetry span costs nothing.
 //!
 //! The simulator's hot path is generic over a [`Probe`]; production runs
 //! use [`NullProbe`], whose `ENABLED = false` constant dead-codes every
-//! event emission at monomorphization time. This bench re-times the exact
-//! `bench_sweep` workload (sequential, cached, NullProbe — i.e. the plain
-//! `simulate` everyone calls) and compares contacts/sec against the
-//! committed `BENCH_sweep.json` baseline. A regression beyond the guard
-//! threshold fails the process, which is how CI catches an accidentally
-//! non-zero-cost probe.
+//! event emission at monomorphization time. That path's speed is gated by
+//! perfbench's `figure-grid` workload against the parent commit; this
+//! binary keeps the two guards perfbench does not measure:
 //!
-//! ```text
-//! bench_probe_overhead [BASELINE_JSON]     (default: BENCH_sweep.json)
+//! * the audited pass times the full [`AuditProbe`] ledger (Record mode)
+//!   over a figure-style workload and fails when its throughput drops
+//!   below `1 - AUDIT_ALLOWANCE` of the NullProbe rate measured in the
+//!   same process, so the invariant auditor stays cheap enough to leave
+//!   on in sweeps;
+//! * the span stanza applies the same contract to the telemetry layer's
+//!   [`Span`] guard: a tight loop with one `Span::<NullClock>` per
+//!   iteration must run within `SPAN_ALLOWANCE` of the bare loop's rate
+//!   (loose because sub-ns ops sit inside timer noise). The enabled
+//!   `Span::<MonotonicClock>` cost is reported for context.
 //!
-//!   PROBE_GUARD_PCT=N     allowed regression in percent   (default: 3)
-//!   PROBE_GUARD_PASSES=N  timed passes, best-of           (default: 3)
-//! ```
-//!
-//! An enabled-probe pass (`CountingProbe`, the cheapest live probe) is
-//! also timed and reported for context; it is informational only — an
-//! *enabled* probe is allowed to cost something.
-//!
-//! A third pass times the full [`AuditProbe`] ledger (Record mode) and
-//! *is* guarded: audited throughput must stay within
-//! `AUDIT_GUARD_PCT` percent (default: 25) of the NullProbe rate, so the
-//! invariant auditor stays cheap enough to leave on in sweeps.
-//!
-//! A fourth stanza applies the same contract to the telemetry layer's
-//! [`Span`] guard: a tight loop with one `Span::<NullClock>` per
-//! iteration must run at the bare loop's rate (`SPAN_GUARD_PCT`,
-//! default: 25 — loose because sub-ns ops sit inside timer noise). The
-//! enabled `Span::<MonotonicClock>` cost is reported for context.
+//! Each side takes the best of `PASSES` timed passes. The JSON verdict
+//! goes to stdout; a guard failure exits 1.
 
-use dtn_epidemic::{protocols, CountingProbe};
+use dtn_epidemic::protocols;
 use dtn_experiments::{run_point, run_point_checked_cached, Mobility, SweepConfig, TraceCache};
-use dtn_sim::json::Value;
 use dtn_sim::{AtomicHistogram, Clock, MonotonicClock, NullClock, Span, Threads};
 use std::time::Instant;
 
 const LOADS: [u32; 5] = [10, 20, 30, 40, 50];
 const REPLICATIONS: usize = 5;
 const MOBILITIES: [Mobility; 2] = [Mobility::Trace, Mobility::Rwp];
+
+/// Timed passes per guarded side, best-of (shared CI runners are noisy).
+const PASSES: usize = 5;
+/// The audited rate may fall this far below the NullProbe rate.
+const AUDIT_ALLOWANCE: f64 = 0.25;
+/// The NullClock span loop may fall this far below the bare loop.
+const SPAN_ALLOWANCE: f64 = 0.25;
 
 fn sweep_config() -> SweepConfig {
     SweepConfig {
@@ -51,20 +46,8 @@ fn sweep_config() -> SweepConfig {
     }
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The baseline's top-level `contacts_per_sec`.
-fn baseline_contacts_per_sec(json: &str) -> Option<f64> {
-    Value::parse(json).ok()?.get("contacts_per_sec")?.as_f64()
-}
-
-/// One timed pass over the bench_sweep workload with NullProbe (the
-/// plain `simulate` path). Returns (contacts, wall seconds).
+/// One timed pass over the workload with NullProbe (the plain `simulate`
+/// path). Returns (contacts, wall seconds).
 fn timed_pass(cfg: &SweepConfig, cache: &TraceCache) -> (u64, f64) {
     let protocols = protocols::all_protocols();
     let start = Instant::now();
@@ -84,29 +67,6 @@ fn timed_pass(cfg: &SweepConfig, cache: &TraceCache) -> (u64, f64) {
         }
     }
     (contacts, start.elapsed().as_secs_f64())
-}
-
-/// The same workload with an *enabled* probe, for context.
-fn counting_pass(cfg: &SweepConfig, cache: &TraceCache) -> (u64, u64, f64) {
-    let protocols = protocols::all_protocols();
-    let start = Instant::now();
-    let mut contacts = 0u64;
-    let mut events = 0u64;
-    for mobility in MOBILITIES {
-        for protocol in &protocols {
-            for &load in &cfg.loads {
-                let counted = run_point(protocol, mobility, load, cfg, cache, |_| {
-                    CountingProbe::default()
-                });
-                for outcome in counted {
-                    let (m, probe) = outcome.value().expect("bench replication failed");
-                    contacts += m.contacts_processed;
-                    events += probe.events;
-                }
-            }
-        }
-    }
-    (contacts, events, start.elapsed().as_secs_f64())
 }
 
 /// The same workload through the conservation auditor. The run doubles
@@ -164,71 +124,35 @@ fn bare_span_pass() -> f64 {
 }
 
 fn main() {
-    let baseline_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_sweep.json".into());
-    let guard_pct = env_f64("PROBE_GUARD_PCT", 3.0);
-    let passes = env_f64("PROBE_GUARD_PASSES", 3.0).max(1.0) as usize;
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(json) => match baseline_contacts_per_sec(&json) {
-            Some(v) => v,
-            None => {
-                eprintln!("bench_probe_overhead: no contacts_per_sec in {baseline_path}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("bench_probe_overhead: cannot read {baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-
     let cfg = sweep_config();
     let cache = TraceCache::new();
     // Warm-up: populate the trace cache and fault in the binary.
     let _ = timed_pass(&cfg, &cache);
 
-    // Best-of-N guards against scheduler noise on shared CI machines.
     let mut best = 0.0f64;
-    for pass in 0..passes {
+    for pass in 0..PASSES {
         let (contacts, wall) = timed_pass(&cfg, &cache);
         let rate = contacts as f64 / wall;
         eprintln!(
-            "pass {}/{}: {} contacts in {:.3} s = {:.0} contacts/s",
-            pass + 1,
-            passes,
-            contacts,
-            wall,
-            rate
+            "pass {}/{PASSES}: {contacts} contacts in {wall:.3} s = {rate:.0} contacts/s",
+            pass + 1
         );
         best = best.max(rate);
     }
 
-    let (c_contacts, c_events, c_wall) = counting_pass(&cfg, &cache);
-    let counting_rate = c_contacts as f64 / c_wall;
-
-    // Best-of-N for the audited pass too — it faces the same noise and a
-    // guard, so it deserves the same defense.
-    let audit_guard_pct = env_f64("AUDIT_GUARD_PCT", 25.0);
     let mut audit_best = 0.0f64;
     let mut audit_events = 0u64;
-    for _ in 0..passes {
+    for _ in 0..PASSES {
         let (a_contacts, a_events, a_wall) = audited_pass(&cfg, &cache);
         audit_best = audit_best.max(a_contacts as f64 / a_wall);
         audit_events = a_events;
     }
 
-    // Span guard: a disabled (NullClock) span per loop iteration must
-    // cost the same as no span at all — same dead-code contract the
-    // NullProbe guard enforces, applied to the telemetry layer. Best-of-N
-    // on both sides; the enabled (MonotonicClock) span is informational.
-    let span_guard_pct = env_f64("SPAN_GUARD_PCT", 25.0);
     let hist = AtomicHistogram::new();
     let mut bare_ns = f64::INFINITY;
     let mut null_ns = f64::INFINITY;
     let mut mono_ns = f64::INFINITY;
-    for _ in 0..passes.max(2) {
+    for _ in 0..PASSES {
         bare_ns = bare_ns.min(bare_span_pass());
         null_ns = null_ns.min(span_pass::<NullClock>(&hist));
         mono_ns = mono_ns.min(span_pass::<MonotonicClock>(&hist));
@@ -236,87 +160,50 @@ fn main() {
     // ns/op deltas at this scale sit inside timer noise; guard on the
     // ratio of loop rates instead.
     let span_ratio = bare_ns / null_ns;
-    let span_verdict = if span_ratio >= 1.0 - span_guard_pct / 100.0 {
-        "ok"
-    } else {
-        "REGRESSION"
-    };
+    let span_ok = span_ratio >= 1.0 - SPAN_ALLOWANCE;
 
-    let ratio = best / baseline;
-    let verdict = if ratio >= 1.0 - guard_pct / 100.0 {
-        "ok"
-    } else {
-        "REGRESSION"
-    };
     let audit_ratio = audit_best / best;
-    let audit_verdict = if audit_ratio >= 1.0 - audit_guard_pct / 100.0 {
-        "ok"
-    } else {
-        "REGRESSION"
-    };
+    let audit_ok = audit_ratio >= 1.0 - AUDIT_ALLOWANCE;
+    let verdict = |ok: bool| if ok { "ok" } else { "REGRESSION" };
     println!(
         concat!(
             "{{\n",
-            "  \"baseline_contacts_per_sec\": {:.0},\n",
             "  \"null_probe_contacts_per_sec\": {:.0},\n",
-            "  \"ratio\": {:.4},\n",
-            "  \"guard_pct\": {},\n",
-            "  \"counting_probe_contacts_per_sec\": {:.0},\n",
-            "  \"counting_probe_events\": {},\n",
             "  \"audit_probe_contacts_per_sec\": {:.0},\n",
             "  \"audit_probe_events\": {},\n",
             "  \"audit_ratio\": {:.4},\n",
-            "  \"audit_guard_pct\": {},\n",
             "  \"audit_verdict\": \"{}\",\n",
             "  \"span_bare_ns_per_op\": {:.3},\n",
             "  \"span_null_ns_per_op\": {:.3},\n",
             "  \"span_monotonic_ns_per_op\": {:.3},\n",
             "  \"span_ratio\": {:.4},\n",
-            "  \"span_guard_pct\": {},\n",
-            "  \"span_verdict\": \"{}\",\n",
-            "  \"verdict\": \"{}\"\n",
+            "  \"span_verdict\": \"{}\"\n",
             "}}"
         ),
-        baseline,
         best,
-        ratio,
-        guard_pct,
-        counting_rate,
-        c_events,
         audit_best,
         audit_events,
         audit_ratio,
-        audit_guard_pct,
-        audit_verdict,
+        verdict(audit_ok),
         bare_ns,
         null_ns,
         mono_ns,
         span_ratio,
-        span_guard_pct,
-        span_verdict,
-        verdict
+        verdict(span_ok),
     );
-    if verdict != "ok" {
-        eprintln!(
-            "bench_probe_overhead: NullProbe path at {:.1}% of baseline (allowed floor {:.1}%)",
-            100.0 * ratio,
-            100.0 - guard_pct
-        );
-        std::process::exit(1);
-    }
-    if audit_verdict != "ok" {
+    if !audit_ok {
         eprintln!(
             "bench_probe_overhead: audited path at {:.1}% of the NullProbe rate (allowed floor {:.1}%)",
             100.0 * audit_ratio,
-            100.0 - audit_guard_pct
+            100.0 * (1.0 - AUDIT_ALLOWANCE)
         );
         std::process::exit(1);
     }
-    if span_verdict != "ok" {
+    if !span_ok {
         eprintln!(
             "bench_probe_overhead: NullClock span loop at {:.1}% of the bare loop (allowed floor {:.1}%)",
             100.0 * span_ratio,
-            100.0 - span_guard_pct
+            100.0 * (1.0 - SPAN_ALLOWANCE)
         );
         std::process::exit(1);
     }

@@ -15,8 +15,8 @@
 //!   `if false` and the event — including the construction of its
 //!   arguments — is dead code the optimizer deletes. The instrumented
 //!   simulator with `NullProbe` compiles to the same machine code as the
-//!   pre-probe simulator, which is what keeps the bench harness's
-//!   contacts/sec intact (the `bench_probe_overhead` guard enforces it).
+//!   pre-probe simulator. perfbench's `figure-grid` workload runs that
+//!   path, and CI's perf gate holds it to the parent commit's speed.
 //! * [`Event`] is the typed event vocabulary: contact begin/end, stores,
 //!   drops (with reason), transmissions, deliveries, immunity merges and
 //!   ack-driven purges. The stream is *complete*: [`replay_metrics`]

@@ -1,21 +1,21 @@
 //! The unified run/sweep report.
 //!
-//! Before this module the pipeline's outputs were scattered: `bench_sweep`
-//! hand-formatted its own JSON, figure drivers wrote bare CSV, and
-//! `dtnsim` printed ad-hoc text. [`SweepReport`] unifies them: one
-//! structured aggregate holding the workload description, wall-clock and
-//! per-sweep timings, trace-cache hit/miss counters, peak RSS (Linux),
-//! per-point metric summaries with log-bucketed delay histograms, and any
-//! probe-derived distribution the caller attaches. Its [`to_json`]
-//! rendering keeps every key the committed `BENCH_sweep.json` baseline
-//! uses (`contacts_per_sec`, `trace_cache_hits`, …) so existing tooling —
-//! including the CI probe-overhead guard — keeps parsing it.
+//! [`SweepReport`] is the one document a run or sweep produces, whether
+//! `dtnsim` ran it locally, through a daemon or through the HTTP
+//! gateway: one structured aggregate holding the workload description,
+//! wall-clock and per-sweep timings, trace-cache hit/miss counters, peak
+//! RSS (Linux), per-point metric summaries with log-bucketed delay
+//! histograms, and any probe-derived distribution the caller attaches.
+//! [`to_json`] renders all of it; [`to_canonical_json`] masks the
+//! machine-dependent fields so two runs of the same work compare byte
+//! for byte.
 //!
 //! [`RunManifest`] is the companion header for `dtnsim --trace` captures:
 //! one JSON line recording the configuration, seed, git revision and
 //! wall-clock so a JSONL event stream is self-describing.
 //!
 //! [`to_json`]: SweepReport::to_json
+//! [`to_canonical_json`]: SweepReport::to_canonical_json
 
 use dtn_epidemic::RunMetrics;
 use dtn_sim::json::escape;
@@ -268,8 +268,7 @@ pub struct FederationStats {
 }
 
 /// The unified report: one structured aggregate for everything a run or
-/// sweep produces. See the module docs for the rationale; the JSON layout
-/// is a superset of the legacy `BENCH_sweep.json` schema.
+/// sweep produces. See the module docs for the rationale.
 #[derive(Clone, Debug, Default)]
 pub struct SweepReport {
     /// Human description of the workload.
@@ -282,13 +281,6 @@ pub struct SweepReport {
     pub sweeps: u64,
     /// Total contact sessions processed.
     pub contacts_processed: u64,
-    /// Sweep count frozen at [`SweepReport::finish`] — the numerator of
-    /// [`sweeps_per_sec`](SweepReport::sweeps_per_sec) when stanzas are
-    /// recorded after the timed window closes.
-    pub timed_sweeps: Option<u64>,
-    /// Contact count frozen at [`SweepReport::finish`] — the numerator of
-    /// [`contacts_per_sec`](SweepReport::contacts_per_sec).
-    pub timed_contacts: Option<u64>,
     /// Total bundle transmissions.
     pub bundle_transmissions: u64,
     /// Trace-cache hits across the run.
@@ -430,39 +422,13 @@ impl SweepReport {
         });
     }
 
-    /// Close the report: total wall-clock and peak RSS. The sweep and
-    /// contact counts as of this call are frozen as the throughput
-    /// numerators, so supplementary stanzas recorded *after* `finish`
-    /// (e.g. `bench_sweep`'s bloom-family grid) enrich the report without
-    /// skewing the headline rates out of comparability with history.
+    /// Close the report: total wall-clock and peak RSS.
     pub fn finish(&mut self, wall_secs: f64) {
         self.wall_secs = wall_secs;
-        self.timed_sweeps = Some(self.sweeps);
-        self.timed_contacts = Some(self.contacts_processed);
         self.peak_rss_bytes = peak_rss_bytes();
     }
 
-    /// Sweeps per wall-clock second.
-    pub fn sweeps_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.timed_sweeps.unwrap_or(self.sweeps) as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Contact sessions per wall-clock second — the repo's headline
-    /// throughput number.
-    pub fn contacts_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.timed_contacts.unwrap_or(self.contacts_processed) as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Render the report as JSON. Top-level keys are a superset of the
-    /// legacy `BENCH_sweep.json` schema.
+    /// Render the report as JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
@@ -470,16 +436,10 @@ impl SweepReport {
         let _ = writeln!(out, "  \"wall_secs\": {:.3},", self.wall_secs);
         let _ = writeln!(out, "  \"simulation_runs\": {},", self.simulation_runs);
         let _ = writeln!(out, "  \"sweeps\": {},", self.sweeps);
-        let _ = writeln!(out, "  \"sweeps_per_sec\": {:.3},", self.sweeps_per_sec());
         let _ = writeln!(
             out,
             "  \"contacts_processed\": {},",
             self.contacts_processed
-        );
-        let _ = writeln!(
-            out,
-            "  \"contacts_per_sec\": {:.0},",
-            self.contacts_per_sec()
         );
         let _ = writeln!(
             out,
@@ -598,10 +558,10 @@ impl SweepReport {
 
     /// Render the report as JSON with every wall-clock- and
     /// machine-dependent field masked to a fixed value: `wall_secs` and
-    /// all per-sweep timings become 0 (and with them the derived
-    /// `sweeps_per_sec`/`contacts_per_sec`), `peak_rss_bytes` becomes
-    /// `null`, the trace-cache counters become 0, and each point's
-    /// phase-timing breakdown becomes `null`.
+    /// all per-sweep timings become 0, `peak_rss_bytes` becomes `null`,
+    /// the trace-cache counters become 0, the federation attribution
+    /// becomes `null`, and each point's phase-timing breakdown becomes
+    /// `null`.
     ///
     /// What survives is exactly the deterministic content — workload,
     /// per-point aggregates, violations, histograms — so two runs of the
@@ -714,9 +674,7 @@ mod tests {
             "\"wall_secs\"",
             "\"simulation_runs\"",
             "\"sweeps\"",
-            "\"sweeps_per_sec\"",
             "\"contacts_processed\"",
-            "\"contacts_per_sec\"",
             "\"bundle_transmissions\"",
             "\"trace_cache_hits\"",
             "\"trace_cache_misses\"",

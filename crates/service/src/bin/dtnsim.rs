@@ -1055,16 +1055,27 @@ fn run_gateway_client(args: &Args, gateway: &str, log: &Reporter) -> ExitCode {
             }
             Some("report") => {
                 let missing = event.get("missing").and_then(Value::as_u64).unwrap_or(0);
-                let bytes = event.get("bytes").and_then(Value::as_u64).unwrap_or(0) as usize;
+                let bytes = event.get("bytes").and_then(Value::as_u64).unwrap_or(0);
                 log.info(format!(
                     "gateway cache: {cached}/{done} points served from cache"
                 ));
                 // The header names the exact byte count; everything
-                // after it is the report, forwarded verbatim.
-                let mut report = vec![0u8; bytes];
-                if let Err(e) = lines.read_exact(&mut report) {
-                    log.error(format!("dtnsim: torn report stream: {e}"));
-                    return ExitCode::FAILURE;
+                // after it is the report, forwarded verbatim. The count
+                // comes from the network, so the buffer grows with the
+                // bytes that actually arrive instead of trusting it.
+                let mut report = Vec::new();
+                match (&mut lines).take(bytes).read_to_end(&mut report) {
+                    Ok(n) if n as u64 == bytes => {}
+                    Ok(n) => {
+                        log.error(format!(
+                            "dtnsim: torn report stream: {n} of {bytes} bytes arrived"
+                        ));
+                        return ExitCode::FAILURE;
+                    }
+                    Err(e) => {
+                        log.error(format!("dtnsim: torn report stream: {e}"));
+                        return ExitCode::FAILURE;
+                    }
                 }
                 let stdout = std::io::stdout();
                 let mut out = stdout.lock();

@@ -16,8 +16,8 @@
 //! 1. **Hot paths pay nothing when telemetry is off.** [`Span`] is
 //!    monomorphized over a [`Clock`]; under [`NullClock`]
 //!    (`ENABLED = false`) both the start read and the drop record are
-//!    dead code, the same trick `NullProbe` uses (and guarded by the
-//!    same bench, `bench_probe_overhead`).
+//!    dead code, the same trick `NullProbe` uses (guarded by the span
+//!    stanza of `bench_probe_overhead`).
 //! 2. **Recording never locks.** Counters and histogram buckets are
 //!    relaxed atomics; gauges store `f64` bits in an `AtomicU64`. The
 //!    registry's mutex is touched only at registration and scrape time.

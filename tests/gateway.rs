@@ -740,3 +740,51 @@ fn dtnsim_over_http_prints_the_same_canonical_report_as_a_local_run() {
     daemon.request_shutdown();
     daemon.join().expect("join");
 }
+
+#[test]
+fn dtnsim_over_http_refuses_a_report_header_that_overstates_the_stream() {
+    // A fake gateway: it accepts the sweep, then streams a report header
+    // claiming 2^40 bytes and closes after a short body. The client must
+    // not size a buffer from that claim.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake gateway");
+    let addr = listener.local_addr().expect("fake gateway address");
+    let fake = std::thread::spawn(move || {
+        let accepted = "{\"id\":\"abc\"}";
+        let replies = [
+            format!(
+                "HTTP/1.1 202 Accepted\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{accepted}",
+                accepted.len()
+            ),
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                 Connection: close\r\n\r\n\
+                 {{\"type\":\"report\",\"missing\":0,\"bytes\":{}}}\n{{\"workload\"",
+                1u64 << 40
+            ),
+        ];
+        let mut requests = Vec::new();
+        for reply in replies {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let req = read_request(&mut conn, &HttpLimits::default()).expect("request");
+            requests.push(format!("{} {}", req.method, req.path));
+            conn.write_all(reply.as_bytes()).expect("reply");
+        }
+        requests
+    });
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dtnsim"))
+        .args(["--connect", &format!("http://{addr}"), "--robustness"])
+        .args(["--mobility", "interval=2000", "--load", "5", "--reps", "1"])
+        .args(["--seed", "1", "--canonical", "-q"])
+        .output()
+        .expect("dtnsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("torn report stream"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a torn report must not be printed");
+    assert_eq!(
+        fake.join().expect("fake gateway"),
+        ["POST /v1/sweeps", "GET /v1/sweeps/abc/stream"]
+    );
+}
