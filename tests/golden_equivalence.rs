@@ -108,7 +108,8 @@ fn check(name: &str, golden: &str) {
     );
 }
 
-/// Regenerator: prints the golden constants for all eight protocols.
+/// Regenerator: prints the golden constants for all eight protocols,
+/// then the generator digests and the geometric-RWP goldens below.
 #[test]
 #[ignore = "regenerates the golden constants; run with --ignored --nocapture"]
 fn print_goldens() {
@@ -117,6 +118,14 @@ fn print_goldens() {
         print!("{}", protocol_fingerprint(&p));
         println!();
     }
+    println!(
+        "{}",
+        golden_const("GOLDEN_GENERATOR_DIGESTS", &generator_digests())
+    );
+    println!(
+        "{}",
+        golden_const("GOLDEN_GEOM_RWP", &geom_rwp_fingerprint())
+    );
 }
 
 const GOLDEN_PURE: &str = "trace r0: tb=20 dv=20 dr=3ff0000000000000 ct=410716af4bc6a7f0 abo=3fe955a4c984438b pbo=4000000000000000 adr=3fc225fc5c733fbb co=330 tx=234 ar=0 ev=116 ex=0 rj=0 ip=0 tl=0 pb=2340000000 cb=804 et=410716af4bc6a7f0
@@ -631,3 +640,234 @@ fn trace_crash_churn_matches_golden() {
         "trace crash churn: RunMetrics diverged from the golden"
     );
 }
+
+// ---------------------------------------------------------------------
+// Generator pins.
+//
+// The goldens above pin what the engine makes of a trace; these pin the
+// traces themselves. Every built-in generator's contact list is folded
+// into an FNV-1a digest over eight (seed, replication) pairs, and the
+// geometric RWP model, which no golden above runs, gets its own
+// `RunMetrics` golden for the eight paper protocols at load 5. Both are
+// printed by `print_goldens`.
+
+/// The (scenario seed, replication) pairs the generator digests cover.
+const DIGEST_RUNS: [(u64, u64); 8] = [
+    (0xD7_2012, 0),
+    (0xD7_2012, 1),
+    (1, 0),
+    (1, 9),
+    (7, 3),
+    (42, 2),
+    (0xDEAD_BEEF, 5),
+    (u64::MAX, 7),
+];
+
+const DIGEST_MOBILITIES: [Mobility; 5] = [
+    Mobility::Trace,
+    Mobility::Rwp,
+    Mobility::GeometricRwp,
+    Mobility::Interval(400),
+    Mobility::Interval(2000),
+];
+
+/// FNV-1a (64-bit) over a byte stream.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// One line per (mobility, seed, replication): the trace's size and the
+/// digest of its node count, horizon and every contact, in order.
+fn generator_digests() -> String {
+    let mut out = String::new();
+    for mobility in DIGEST_MOBILITIES {
+        for (seed, rep) in DIGEST_RUNS {
+            let trace = mobility.build(seed, rep);
+            let mut fnv = Fnv::new();
+            fnv.bytes(&(trace.node_count() as u64).to_le_bytes());
+            fnv.bytes(&trace.horizon().as_millis().to_le_bytes());
+            for c in trace.contacts() {
+                fnv.bytes(&c.a.0.to_le_bytes());
+                fnv.bytes(&c.b.0.to_le_bytes());
+                fnv.bytes(&c.start.as_millis().to_le_bytes());
+                fnv.bytes(&c.end.as_millis().to_le_bytes());
+            }
+            out.push_str(&format!(
+                "{} {seed:x}/{rep}: n={} fnv={:016x}\n",
+                mobility.spec(),
+                trace.len(),
+                fnv.0
+            ));
+        }
+    }
+    out
+}
+
+/// Every paper protocol on geometric RWP at load 5, replications 0–1.
+fn geom_rwp_fingerprint() -> String {
+    let cfg = SweepConfig {
+        loads: vec![FAULT_LOAD],
+        replications: REPLICATIONS,
+        threads: Threads::Sequential,
+        ..SweepConfig::default()
+    };
+    let cache = TraceCache::new();
+    let mut out = String::new();
+    for (spec, protocol) in ["pure", "pq", "ttl", "dynttl", "ec", "ecttl", "imm", "cum"]
+        .into_iter()
+        .zip(protocols::all_protocols())
+    {
+        for (rep, m) in
+            run_point_checked_cached(&protocol, Mobility::GeometricRwp, FAULT_LOAD, &cfg, &cache)
+                .into_iter()
+                .map(Result::unwrap)
+                .enumerate()
+        {
+            out.push_str(&format!("{spec} r{rep}: {}\n", faulted_fingerprint(&m)));
+        }
+    }
+    out
+}
+
+#[test]
+fn generators_match_pinned_digests() {
+    assert_eq!(
+        generator_digests(),
+        GOLDEN_GENERATOR_DIGESTS,
+        "a generator's contact list diverged from the pinned digest"
+    );
+}
+
+#[test]
+fn geom_rwp_matches_golden() {
+    assert_eq!(
+        geom_rwp_fingerprint(),
+        GOLDEN_GEOM_RWP,
+        "geom-rwp: RunMetrics diverged from the golden"
+    );
+}
+
+const GOLDEN_GENERATOR_DIGESTS: &str = "trace d72012/0: n=695 fnv=4aeba6d7630774ff
+\
+     trace d72012/1: n=695 fnv=4aeba6d7630774ff
+\
+     trace 1/0: n=708 fnv=173604689f0e9ba8
+\
+     trace 1/9: n=708 fnv=173604689f0e9ba8
+\
+     trace 7/3: n=678 fnv=3e3469e4facfeee8
+\
+     trace 2a/2: n=730 fnv=7cac3931ae19d465
+\
+     trace deadbeef/5: n=669 fnv=9e52e281b860db11
+\
+     trace ffffffffffffffff/7: n=593 fnv=79915d514c39a701
+\
+     rwp d72012/0: n=6219 fnv=d54de630e0800051
+\
+     rwp d72012/1: n=5898 fnv=88ca0dfe0737660a
+\
+     rwp 1/0: n=6620 fnv=7c78b021b0d7864f
+\
+     rwp 1/9: n=6117 fnv=d30707e676fe2e6b
+\
+     rwp 7/3: n=6233 fnv=10ed7119cae97ed4
+\
+     rwp 2a/2: n=6095 fnv=2587534058d3367d
+\
+     rwp deadbeef/5: n=6195 fnv=87a952b12d144adc
+\
+     rwp ffffffffffffffff/7: n=6128 fnv=516bec177fea2408
+\
+     geom-rwp d72012/0: n=12572 fnv=32a4c4e04136689b
+\
+     geom-rwp d72012/1: n=12435 fnv=28dd0fda4d4bc04a
+\
+     geom-rwp 1/0: n=12729 fnv=6d8c49c7f27592d5
+\
+     geom-rwp 1/9: n=12506 fnv=2e48d648a6c4e196
+\
+     geom-rwp 7/3: n=12418 fnv=3340ce55e5d20a59
+\
+     geom-rwp 2a/2: n=12624 fnv=6a214d44a128b010
+\
+     geom-rwp deadbeef/5: n=12406 fnv=c6f1a3c0eaabbbc6
+\
+     geom-rwp ffffffffffffffff/7: n=12455 fnv=e4faa556b3e736f7
+\
+     interval=400 d72012/0: n=200 fnv=a81da849796ef864
+\
+     interval=400 d72012/1: n=200 fnv=cd02c0fb903ac9e9
+\
+     interval=400 1/0: n=199 fnv=8f48a33b3fbd825d
+\
+     interval=400 1/9: n=200 fnv=780605eccca88c1e
+\
+     interval=400 7/3: n=200 fnv=99e27fc80c9d5c38
+\
+     interval=400 2a/2: n=200 fnv=d6e0ec9ccbb5d595
+\
+     interval=400 deadbeef/5: n=200 fnv=3a5ffee95e731331
+\
+     interval=400 ffffffffffffffff/7: n=200 fnv=b94b8a5e7700dd81
+\
+     interval=2000 d72012/0: n=199 fnv=e4427ae1d785ff5f
+\
+     interval=2000 d72012/1: n=199 fnv=5e07e10167116de9
+\
+     interval=2000 1/0: n=200 fnv=06977a4367d18f95
+\
+     interval=2000 1/9: n=200 fnv=e800c4fc9c3eddeb
+\
+     interval=2000 7/3: n=199 fnv=f7f2d4db480e99ab
+\
+     interval=2000 2a/2: n=200 fnv=b79f37a0f94ac0a0
+\
+     interval=2000 deadbeef/5: n=200 fnv=4119331ef392221c
+\
+     interval=2000 ffffffffffffffff/7: n=199 fnv=aead5bfa12c1a16e
+";
+
+const GOLDEN_GEOM_RWP: &str = "pure r0: tb=5 dv=5 dr=3ff0000000000000 ct=40c8cf072b020c4a abo=3fcc1a73fe9d0f91 pbo=3fe0000000000000 adr=3fce7bf18ea84047 co=260 tx=52 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=520000000 cb=123 et=40c8cf072b020c4a sb=123 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     pure r1: tb=5 dv=5 dr=3ff0000000000000 ct=40b56a8872b020c5 abo=3fc14f8151273b32 pbo=3fe0000000000000 adr=3fc390bae2a56a1a co=109 tx=34 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=340000000 cb=58 et=40b56a8872b020c5 sb=58 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     pq r0: tb=5 dv=5 dr=3ff0000000000000 ct=40c8cf072b020c4a abo=3fcc1a73fe9d0f91 pbo=3fe0000000000000 adr=3fce7bf18ea84047 co=260 tx=52 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=520000000 cb=123 et=40c8cf072b020c4a sb=123 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     pq r1: tb=5 dv=5 dr=3ff0000000000000 ct=40b56a8872b020c5 abo=3fc14f8151273b32 pbo=3fe0000000000000 adr=3fc390bae2a56a1a co=109 tx=34 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=340000000 cb=58 et=40b56a8872b020c5 sb=58 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40e903173b645a1d abo=3fa7a7afcd7a7314 pbo=3fe0000000000000 adr=3fb76941109b3488 co=1119 tx=94 ar=0 ev=0 ex=89 rj=0 ip=0 tl=0 pb=940000000 cb=455 et=40e903173b645a1d sb=455 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40e322e73b645a1d abo=3fa87336c10a2db1 pbo=3fe0000000000000 adr=3fb90fb983e0cc5b co=799 tx=93 ar=0 ev=0 ex=87 rj=0 ip=0 tl=0 pb=930000000 cb=395 et=40e322e73b645a1d sb=395 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     dynttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40e903173b645a1d abo=3fa863b77d4f2eb5 pbo=3fe0000000000000 adr=3fb7bc2f773666f7 co=1119 tx=96 ar=0 ev=0 ex=91 rj=0 ip=0 tl=0 pb=960000000 cb=455 et=40e903173b645a1d sb=455 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     dynttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40c765d9374bc6a8 abo=3fb3735117655764 pbo=3fe0000000000000 adr=3fb755f1a860cd3d co=251 tx=48 ar=0 ev=0 ex=36 rj=0 ip=0 tl=0 pb=480000000 cb=112 et=40c765d9374bc6a8 sb=112 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ec r0: tb=5 dv=5 dr=3ff0000000000000 ct=40c8cf072b020c4a abo=3fcc1a73fe9d0f91 pbo=3fe0000000000000 adr=3fce7bf18ea84047 co=260 tx=52 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=520000000 cb=123 et=40c8cf072b020c4a sb=123 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ec r1: tb=5 dv=5 dr=3ff0000000000000 ct=40b56a8872b020c5 abo=3fc14f8151273b32 pbo=3fe0000000000000 adr=3fc390bae2a56a1a co=109 tx=34 ar=0 ev=0 ex=0 rj=0 ip=0 tl=0 pb=340000000 cb=58 et=40b56a8872b020c5 sb=58 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ecttl r0: tb=5 dv=5 dr=3ff0000000000000 ct=40e8f6973b645a1d abo=3fb069465151d149 pbo=3fe0000000000000 adr=3fc070d7f9aa0004 co=1119 tx=131 ar=0 ev=0 ex=66 rj=60 ip=0 tl=0 pb=1310000000 cb=441 et=40e8f6973b645a1d sb=441 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     ecttl r1: tb=5 dv=5 dr=3ff0000000000000 ct=40b56a8872b020c5 abo=3fb7651bc88b8bbb pbo=3fe0000000000000 adr=3fc1c78998e6c1d6 co=109 tx=38 ar=0 ev=0 ex=9 rj=4 ip=0 tl=0 pb=380000000 cb=56 et=40b56a8872b020c5 sb=56 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     imm r0: tb=5 dv=5 dr=3ff0000000000000 ct=40c13926872b020c abo=3fb69657fa9ac94c pbo=3fe0000000000000 adr=3fcd9f090f0c537e co=180 tx=28 ar=464 ev=0 ex=0 rj=0 ip=21 tl=0 pb=280000000 cb=7512 et=40c13926872b020c sb=88 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     imm r1: tb=5 dv=5 dr=3ff0000000000000 ct=40b56a8872b020c5 abo=3fb3ee50ef0676a3 pbo=3fe0000000000000 adr=3fc90e26a2094b4e co=109 tx=23 ar=405 ev=0 ex=0 rj=0 ip=11 tl=0 pb=230000000 cb=6539 et=40b56a8872b020c5 sb=59 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     cum r0: tb=5 dv=5 dr=3ff0000000000000 ct=40c901072b020c4a abo=3fb68aed4433fad1 pbo=3fe0000000000000 adr=3fd0c3228e6611d1 co=260 tx=37 ar=351 ev=0 ex=0 rj=0 ip=19 tl=0 pb=370000000 cb=5738 et=40c901072b020c4a sb=122 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     cum r1: tb=5 dv=5 dr=3ff0000000000000 ct=40b5ce8872b020c5 abo=3fac83459fadb57b pbo=3fe0000000000000 adr=3fc1e0180386fce1 co=109 tx=21 ar=163 ev=0 ex=0 rj=0 ip=10 tl=0 pb=210000000 cb=2667 et=40b5ce8872b020c5 sb=59 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+";
