@@ -90,5 +90,5 @@ pub use probe::{
     NullProbe, Probe, SeriesSample, TimeSeriesProbe,
 };
 pub use session::{SessionScratch, SimConfig};
-pub use simulation::{simulate, simulate_probed};
+pub use simulation::{simulate, simulate_probed, simulate_stream, simulate_stream_probed};
 pub use summary::{bloom_lanes, bloom_params, BloomFilter, BloomParams, SummaryVector};

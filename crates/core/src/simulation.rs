@@ -1,11 +1,14 @@
 //! The per-replication simulation driver.
 //!
 //! [`simulate`] wires a [`ContactTrace`], a [`Workload`] and a
-//! [`SimConfig`] into the `dtn-sim` engine and runs to completion:
+//! [`SimConfig`] into the `dtn-sim` engine and runs to completion;
+//! [`simulate_stream`] does the same from a [`ContactStream`], the reader a
+//! lazily generated trace hands out, and is the one run loop both share:
 //!
 //! * every contact becomes a `Contact` event at its start time, handled by
-//!   [`crate::session::run_contact`]; the sorted trace streams through the
-//!   engine in place rather than being copied into its queue;
+//!   [`crate::session::run_contact`]; the sorted contacts stream through
+//!   the engine in place rather than being copied into its queue, and a
+//!   lazy trace is generated only as far as the run reads it;
 //! * flow creation events inject origin copies at sources;
 //! * copy expiry is event-driven: whenever a node's earliest finite expiry
 //!   changes, an `ExpiryCheck` is (re)scheduled, so the time-weighted
@@ -26,16 +29,16 @@ use crate::node::Node;
 use crate::policy::AckScheme;
 use crate::probe::{Event, NullProbe, Probe};
 use crate::session::{run_contact, SessionCtx, SessionScratch, SimConfig};
-use dtn_mobility::ContactTrace;
+use dtn_mobility::{Contact, ContactStream, ContactTrace, NodeId};
 use dtn_sim::{Engine, Flow, Handler, Scheduler, SimRng, SimTime};
 
 /// Simulation events.
 #[derive(Clone, Copy, Debug)]
-enum Ev {
+enum Ev<'a> {
     /// Inject flow `f`'s bundles at its source.
     CreateFlow(u32),
-    /// Process contact `i` of the trace.
-    Contact(u32),
+    /// Process a contact of the trace.
+    Contact(&'a Contact),
     /// Purge expired copies on a node and reschedule.
     ExpiryCheck(u16),
     /// Churn fault injection: the node goes down.
@@ -46,7 +49,6 @@ enum Ev {
 }
 
 struct Sim<'a, P: Probe = NullProbe> {
-    trace: &'a ContactTrace,
     workload: &'a Workload,
     config: &'a SimConfig,
     nodes: Vec<Node>,
@@ -127,7 +129,7 @@ impl<P: Probe> Sim<'_, P> {
     }
 
     /// Ensure an `ExpiryCheck` is pending at the node's earliest expiry.
-    fn reschedule_expiry(&mut self, node_idx: usize, sched: &mut Scheduler<'_, Ev>) {
+    fn reschedule_expiry(&mut self, node_idx: usize, sched: &mut Scheduler<'_, Ev<'_>>) {
         if let Some(t) = self.nodes[node_idx].earliest_expiry() {
             let already_pending =
                 matches!(self.scheduled_expiry[node_idx], Some(existing) if existing <= t);
@@ -139,8 +141,8 @@ impl<P: Probe> Sim<'_, P> {
     }
 }
 
-impl<P: Probe> Handler<Ev> for Sim<'_, P> {
-    fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) -> Flow {
+impl<'c, P: Probe> Handler<Ev<'c>> for Sim<'_, P> {
+    fn handle(&mut self, now: SimTime, event: Ev<'c>, sched: &mut Scheduler<'_, Ev<'c>>) -> Flow {
         match event {
             Ev::CreateFlow(f) => {
                 let flow = self.workload.flows()[f as usize];
@@ -176,8 +178,7 @@ impl<P: Probe> Handler<Ev> for Sim<'_, P> {
                 self.reschedule_expiry(src, sched);
                 Flow::Continue
             }
-            Ev::Contact(i) => {
-                let contact = self.trace.contacts()[i as usize];
+            Ev::Contact(contact) => {
                 let (ai, bi) = (contact.a.index(), contact.b.index());
                 if !(self.faults.is_up(ai) && self.faults.is_up(bi)) {
                     self.metrics.contacts_skipped += 1;
@@ -200,7 +201,7 @@ impl<P: Probe> Handler<Ev> for Sim<'_, P> {
                     probe: &mut *self.probe,
                     faults: &mut self.faults,
                 };
-                run_contact(na, nb, &contact, &mut ctx);
+                run_contact(na, nb, contact, &mut ctx);
                 self.reschedule_expiry(ai, sched);
                 self.reschedule_expiry(bi, sched);
                 if self.metrics.all_delivered() {
@@ -267,7 +268,7 @@ pub fn simulate(
     config: &SimConfig,
     rng: SimRng,
 ) -> RunMetrics {
-    simulate_probed(trace, workload, config, rng, &mut NullProbe)
+    simulate_stream(trace.stream(), workload, config, rng)
 }
 
 /// [`simulate`] with an event observer attached.
@@ -286,6 +287,29 @@ pub fn simulate_probed<P: Probe>(
     rng: SimRng,
     probe: &mut P,
 ) -> RunMetrics {
+    simulate_stream_probed(trace.stream(), workload, config, rng, probe)
+}
+
+/// [`simulate`] over a stream of the trace's contacts: a lazy trace is
+/// generated only as far as the run reads it. Same results as
+/// [`simulate`] on the whole trace.
+pub fn simulate_stream(
+    contacts: ContactStream<'_>,
+    workload: &Workload,
+    config: &SimConfig,
+    rng: SimRng,
+) -> RunMetrics {
+    simulate_stream_probed(contacts, workload, config, rng, &mut NullProbe)
+}
+
+/// [`simulate_probed`] over a stream of the trace's contacts.
+pub fn simulate_stream_probed<P: Probe>(
+    contacts: ContactStream<'_>,
+    workload: &Workload,
+    config: &SimConfig,
+    rng: SimRng,
+    probe: &mut P,
+) -> RunMetrics {
     config.protocol.validate();
     config
         .validate()
@@ -294,28 +318,39 @@ pub fn simulate_probed<P: Probe>(
     // replication seed before the base rng moves into the simulator; with
     // an all-zero plan this is a draw-free no-op and the base stream is
     // untouched, keeping un-faulted runs bit-identical to older builds.
-    let faults = FaultInjector::for_run(&config.faults, trace.node_count(), trace.horizon(), &rng);
-    run_replication(trace, workload, config, rng, probe, faults)
+    let faults = FaultInjector::for_run(
+        &config.faults,
+        contacts.node_count(),
+        contacts.horizon(),
+        &rng,
+    );
+    run_replication(contacts, workload, config, rng, probe, faults)
 }
 
 /// The run itself, with the fault injector already built.
 fn run_replication<P: Probe>(
-    trace: &ContactTrace,
+    contacts: ContactStream<'_>,
     workload: &Workload,
     config: &SimConfig,
     rng: SimRng,
     probe: &mut P,
     faults: FaultInjector,
 ) -> RunMetrics {
-    let node_count = trace.node_count();
+    let node_count = contacts.node_count();
+    let horizon = contacts.horizon();
     let immunity_template = match config.protocol.ack {
         AckScheme::None => None,
         AckScheme::PerBundle => Some(ImmunityStore::per_bundle()),
         AckScheme::Cumulative => Some(ImmunityStore::cumulative()),
     };
-    let mut nodes: Vec<Node> = trace
-        .nodes()
-        .map(|id| Node::new(id, config.buffer_capacity, immunity_template.clone()))
+    let mut nodes: Vec<Node> = (0..node_count as u16)
+        .map(|id| {
+            Node::new(
+                NodeId(id),
+                config.buffer_capacity,
+                immunity_template.clone(),
+            )
+        })
         .collect();
     // Enable the possession planes and precompute the candidate-split
     // lookup tables: the session hot path then runs its word-parallel
@@ -334,10 +369,8 @@ fn run_replication<P: Probe>(
     );
     metrics.start(SimTime::ZERO);
 
-    let mut engine = Engine::with_capacity(
-        trace.horizon(),
-        workload.flows().len() + faults.schedule().len(),
-    );
+    let mut engine =
+        Engine::with_capacity(horizon, workload.flows().len() + faults.schedule().len());
     // Churn transitions are scheduled first: equal-time events fire in
     // scheduling order, and the contact stream ranks after everything
     // scheduled before the run, so a node going down at t also kills a
@@ -354,7 +387,6 @@ fn run_replication<P: Probe>(
         engine.schedule(flow.created_at, Ev::CreateFlow(i as u32));
     }
     let mut sim = Sim {
-        trace,
         workload,
         config,
         nodes,
@@ -366,17 +398,12 @@ fn run_replication<P: Probe>(
         probe,
         faults,
     };
-    // The trace is already sorted by start time, so it streams through
-    // the run loop in place; a run that completes early never reads the
-    // rest of it.
-    let contacts = trace
-        .contacts()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.start, Ev::Contact(i as u32)));
-    engine.run_stream(contacts, &mut sim);
+    // The contacts are sorted by start time, so they stream through the
+    // run loop in place; a run that completes early never reads (nor, on
+    // a lazy trace, generates) the rest.
+    engine.run_stream(contacts.map(|c| (c.start, Ev::Contact(c))), &mut sim);
 
-    let end = sim.metrics.completion_time().unwrap_or(trace.horizon());
+    let end = sim.metrics.completion_time().unwrap_or(horizon);
     sim.metrics.finish(end)
 }
 
@@ -738,7 +765,14 @@ mod tests {
             FaultInjector::with_churn_schedule(ChurnMode::DutyCycle, trace.node_count(), schedule);
         let mut probe = MemoryProbe::default();
         let config = cfg(protocols::pure_epidemic());
-        let m = run_replication(trace, w, &config, SimRng::new(1), &mut probe, faults);
+        let m = run_replication(
+            trace.stream(),
+            w,
+            &config,
+            SimRng::new(1),
+            &mut probe,
+            faults,
+        );
         (m, probe.events)
     }
 

@@ -335,12 +335,13 @@ pub fn run_robustness(
         let (outcomes, attempts, violations) = match done.remove(key) {
             Some((outcomes, attempts)) => (outcomes, attempts, Vec::new()),
             None => {
-                // Warm the trace cache for every replication first so
-                // the mobility cost is measurable separately from the
-                // protocol loop (the job's own lookups then all hit).
+                // Start every replication's trace first (the job's own
+                // lookups then all hit), so the trace phase times the
+                // generators' eager pre-pass. The windows a run reads are
+                // generated inside the protocol loop and count as sim time.
                 let trace_started = std::time::Instant::now();
                 for rep in 0..cfg.replications {
-                    let _ = mobility.build_cached(cfg.base_seed, rep as u64, &cache);
+                    let _ = mobility.lazy_cached(cfg.base_seed, rep as u64, &cache);
                 }
                 let trace_secs = trace_started.elapsed().as_secs_f64();
                 let sim_started = std::time::Instant::now();

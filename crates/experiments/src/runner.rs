@@ -18,10 +18,10 @@
 
 use crate::scenarios::Mobility;
 use dtn_epidemic::{
-    simulate, simulate_probed, AuditMode, AuditProbe, FaultPlan, NullProbe, Probe, ProtocolConfig,
-    RunMetrics, SimConfig, TimeSeriesProbe, Workload,
+    simulate_stream, simulate_stream_probed, AuditMode, AuditProbe, FaultPlan, NullProbe, Probe,
+    ProtocolConfig, RunMetrics, SimConfig, TimeSeriesProbe, Workload,
 };
-use dtn_mobility::{ContactTrace, TraceCache};
+use dtn_mobility::{ContactTrace, SharedTrace, TraceCache};
 use dtn_sim::{
     par_map_supervised, JobOutcome, SimDuration, SimRng, Summary, Threads, Watchdog, Welford,
 };
@@ -167,7 +167,8 @@ pub(crate) const RETRY_SALT: u64 = 0x57AC_0000;
 #[derive(Clone, Debug)]
 pub enum Traces {
     /// A built-in scenario: replication `rep` runs on
-    /// `mobility.build(seed, rep)`, generated once through `cache`.
+    /// `mobility.lazy(seed, rep)`, shared through `cache` and generated
+    /// as far as its replications read it.
     Scenario {
         /// The mobility source.
         mobility: Mobility,
@@ -181,15 +182,16 @@ pub enum Traces {
 }
 
 impl Traces {
-    /// The trace replication `rep` runs on.
-    pub fn get(&self, rep: u64) -> Arc<ContactTrace> {
+    /// The trace replication `rep` runs on. A scenario's trace is only
+    /// started here (its generator's pre-pass); reading it generates it.
+    pub fn get(&self, rep: u64) -> SharedTrace {
         match self {
             Traces::Scenario {
                 mobility,
                 seed,
                 cache,
-            } => mobility.build_cached(*seed, rep, cache),
-            Traces::Fixed(trace) => Arc::clone(trace),
+            } => SharedTrace::Lazy(mobility.lazy_cached(*seed, rep, cache)),
+            Traces::Fixed(trace) => SharedTrace::Full(Arc::clone(trace)),
         }
     }
 }
@@ -202,7 +204,7 @@ pub struct Replication<'a> {
     /// Attempt number (0 unless the watchdog is retrying a panic).
     pub attempt: u32,
     /// The contact trace the attempt runs on.
-    pub trace: &'a ContactTrace,
+    pub trace: &'a SharedTrace,
     /// The attempt's workload.
     pub workload: &'a Workload,
     /// The configuration it runs under.
@@ -278,11 +280,14 @@ impl ReplicationPlan {
             // own un-probed instance — the machine code every `simulate`
             // caller gets — rather than a second copy of the engine
             // monomorphized here, which measured ~5 % slower on
-            // perfbench's figure-grid workload (2-core Xeon host).
+            // perfbench's figure-grid workload (2-core Xeon host). Lazy
+            // and materialized traces share that one instance: both are
+            // read through the same `ContactStream` type.
+            let contacts = trace.stream();
             let metrics = if P::ENABLED {
-                simulate_probed(&trace, &workload, &self.config, sim_rng, &mut probe)
+                simulate_stream_probed(contacts, &workload, &self.config, sim_rng, &mut probe)
             } else {
-                simulate(&trace, &workload, &self.config, sim_rng)
+                simulate_stream(contacts, &workload, &self.config, sim_rng)
             };
             (metrics, probe)
         })
@@ -585,6 +590,37 @@ mod tests {
             assert!(!probe.samples.is_empty(), "curves were sampled");
             assert_eq!(probe.delay.count(), u64::from(p.delivered));
         }
+    }
+
+    #[test]
+    fn a_load_5_run_leaves_its_trace_mostly_ungenerated() {
+        let cfg = SweepConfig {
+            replications: 1,
+            ..tiny()
+        };
+        let cache = TraceCache::new();
+        run_point_checked_cached(&protocols::pure_epidemic(), Mobility::Rwp, 5, &cfg, &cache)
+            .into_iter()
+            .for_each(|r| assert!(r.is_ok()));
+        // Less than the finished trace's `Vec` held when traces were
+        // generated whole: ~6.1k contacts in a capacity of 8192.
+        let finished = 8192 * std::mem::size_of::<dtn_mobility::Contact>();
+        assert!(
+            cache.bytes() < finished,
+            "{} bytes after one pure load-5 run",
+            cache.bytes()
+        );
+        // Read to the horizon (as a run that never delivers reads it),
+        // the trace drops its generator: only published contacts stay.
+        let trace = Mobility::Rwp.lazy_cached(cfg.base_seed, 0, &cache);
+        assert!(!trace.is_complete());
+        trace.stream().for_each(drop);
+        assert!(trace.is_complete());
+        assert_eq!(
+            cache.bytes(),
+            std::mem::size_of::<dtn_mobility::LazyTrace>()
+                + trace.published_contacts() * std::mem::size_of::<dtn_mobility::Contact>()
+        );
     }
 
     #[test]

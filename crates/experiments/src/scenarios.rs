@@ -18,7 +18,8 @@
 //!   ⊕ replication index).
 
 use dtn_mobility::{
-    ContactTrace, HaggleParams, IntervalScenario, RwpParams, SubscriberParams, TraceCache, TraceKey,
+    ContactTrace, HaggleParams, IntervalScenario, LazyTrace, RwpParams, SubscriberParams,
+    TraceCache, TraceKey,
 };
 use dtn_sim::SimRng;
 use std::sync::Arc;
@@ -122,21 +123,48 @@ impl Mobility {
         }
     }
 
-    /// Build the contact trace for one replication through a shared
-    /// [`TraceCache`]: generated once per distinct
-    /// (scenario, seed, replication), shared read-only afterwards.
+    /// The trace of one replication through a shared [`TraceCache`]: one
+    /// entry per distinct (scenario, seed, replication), generated as far
+    /// as its readers have read.
+    pub fn lazy_cached(
+        &self,
+        scenario_seed: u64,
+        replication: u64,
+        cache: &TraceCache,
+    ) -> Arc<LazyTrace> {
+        let key = TraceKey {
+            scenario: self.cache_key(),
+            seed: scenario_seed,
+            replication: self.effective_replication(replication),
+        };
+        cache.get_or_start(key, || self.lazy(scenario_seed, replication))
+    }
+
+    /// The whole contact trace of one replication through a shared
+    /// [`TraceCache`]: [`Mobility::lazy_cached`] generated to the horizon,
+    /// collected at most once per cache entry.
     pub fn build_cached(
         &self,
         scenario_seed: u64,
         replication: u64,
         cache: &TraceCache,
     ) -> Arc<ContactTrace> {
-        let key = TraceKey {
-            scenario: self.cache_key(),
-            seed: scenario_seed,
-            replication: self.effective_replication(replication),
-        };
-        cache.get_or_build(key, || self.build(scenario_seed, replication))
+        self.lazy_cached(scenario_seed, replication, cache)
+            .to_trace()
+    }
+
+    /// The trace of one replication, generated as it is read. Both RWP
+    /// models generate by time window; the trace and interval generators
+    /// are cheap and generate whole.
+    pub fn lazy(&self, scenario_seed: u64, replication: u64) -> LazyTrace {
+        let mut rng = SimRng::new(scenario_seed).derive(replication);
+        match self {
+            Mobility::Rwp => SubscriberParams::default().lazy(&mut rng),
+            Mobility::GeometricRwp => geometric().lazy(&mut rng),
+            Mobility::Trace | Mobility::Interval(_) => {
+                LazyTrace::complete(self.build(scenario_seed, replication))
+            }
+        }
     }
 
     /// Build the contact trace for one replication.
@@ -156,15 +184,18 @@ impl Mobility {
             }
             Mobility::GeometricRwp => {
                 let mut rng = SimRng::new(scenario_seed).derive(replication);
-                // Same envelope as the subscriber-point scenario: 12 nodes,
-                // 1 km², 600 000 s — only the movement process differs.
-                RwpParams {
-                    horizon: dtn_sim::SimTime::from_secs(600_000),
-                    ..RwpParams::default()
-                }
-                .generate(&mut rng)
+                geometric().generate(&mut rng)
             }
         }
+    }
+}
+
+/// Same envelope as the subscriber-point scenario: 12 nodes, 1 km²,
+/// 600 000 s — only the movement process differs.
+fn geometric() -> RwpParams {
+    RwpParams {
+        horizon: dtn_sim::SimTime::from_secs(600_000),
+        ..RwpParams::default()
     }
 }
 

@@ -3,20 +3,21 @@
 //! A figure compares several protocols under *identical* mobility: the
 //! same (scenario, seed, replication) trace is consumed by every
 //! protocol sweep, and within the trace scenario by every load level and
-//! replication too. Regenerating it each time made trace synthesis a
-//! fixed tax on every simulation run. [`TraceCache`] builds each
-//! distinct trace once and hands out read-only [`Arc`] clones. The cache
-//! itself is a cheap handle: cloning it shares the same store, so worker
-//! threads — including the detached ones a watchdog deadline may
-//! abandon — each hold their own handle without borrowing.
+//! replication too. [`TraceCache`] keeps one [`LazyTrace`] per distinct
+//! trace and hands out shared [`Arc`] handles: the first reader to run
+//! past the published part of a trace generates the next window of it,
+//! and every later reader walks what is published. The cache itself is a
+//! cheap handle: cloning it shares the same store, so worker threads —
+//! including the detached ones a watchdog deadline may abandon — each
+//! hold their own handle without borrowing.
 //!
 //! Generation is deterministic and pure, so the cache never changes
-//! *what* is simulated — only how often it is rebuilt. Builds run
-//! outside the lock: two threads racing on the same key may both build,
-//! but they build identical traces and the first insert wins, so results
-//! are scheduling-independent.
+//! *what* is simulated — only how often it is generated. Generators start
+//! outside the map's lock: two threads racing on the same key may both
+//! start one (a draw-only pre-pass), but they are identical and the first
+//! insert wins, so results are scheduling-independent.
 
-use crate::ContactTrace;
+use crate::LazyTrace;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +37,7 @@ pub struct TraceKey {
     pub replication: u64,
 }
 
-/// A concurrent build-once store of generated [`ContactTrace`]s. Clones
+/// A concurrent store of on-demand traces, one per [`TraceKey`]. Clones
 /// are handles on the same store (and the same hit/miss counters).
 #[derive(Clone, Debug, Default)]
 pub struct TraceCache {
@@ -45,7 +46,7 @@ pub struct TraceCache {
 
 #[derive(Debug, Default)]
 struct Shared {
-    traces: Mutex<HashMap<TraceKey, Arc<ContactTrace>>>,
+    traces: Mutex<HashMap<TraceKey, Arc<LazyTrace>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -56,13 +57,13 @@ impl TraceCache {
         TraceCache::default()
     }
 
-    /// Return the trace for `key`, building it with `build` on first use.
+    /// Return the trace for `key`, starting it with `start` on first use.
     ///
-    /// `build` must be a pure function of `key` — the cache hands the
+    /// `start` must be a pure function of `key` — the cache hands the
     /// same `Arc` to every caller of the key.
-    pub fn get_or_build<F>(&self, key: TraceKey, build: F) -> Arc<ContactTrace>
+    pub fn get_or_start<F>(&self, key: TraceKey, start: F) -> Arc<LazyTrace>
     where
-        F: FnOnce() -> ContactTrace,
+        F: FnOnce() -> LazyTrace,
     {
         let shared = &*self.shared;
         if let Some(trace) = shared
@@ -74,13 +75,14 @@ impl TraceCache {
             shared.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(trace);
         }
-        // Build outside the lock: generation can take milliseconds and
-        // must not serialize unrelated keys. A concurrent builder of the
-        // same key produces an identical trace; first insert wins.
-        let built = Arc::new(build());
+        // Start outside the lock: a generator's pre-pass takes about a
+        // millisecond and must not serialize unrelated keys. A concurrent
+        // starter of the same key makes an identical trace; first insert
+        // wins.
+        let started = Arc::new(start());
         shared.misses.fetch_add(1, Ordering::Relaxed);
         let mut traces = shared.traces.lock().expect("trace cache poisoned");
-        Arc::clone(traces.entry(key).or_insert(built))
+        Arc::clone(traces.entry(key).or_insert(started))
     }
 
     /// `(hits, misses)` so far — the bench harness reports these.
@@ -100,6 +102,20 @@ impl TraceCache {
             .len()
     }
 
+    /// Bytes the cached traces hold: published contacts, generator state
+    /// and collected copies ([`LazyTrace::bytes`]).
+    pub fn bytes(&self) -> usize {
+        let traces: Vec<Arc<LazyTrace>> = self
+            .shared
+            .traces
+            .lock()
+            .expect("trace cache poisoned")
+            .values()
+            .cloned()
+            .collect();
+        traces.iter().map(|t| t.bytes()).sum()
+    }
+
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -109,8 +125,8 @@ impl TraceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HaggleParams;
-    use dtn_sim::SimRng;
+    use crate::{HaggleParams, SubscriberParams};
+    use dtn_sim::{SimRng, SimTime};
 
     fn key(scenario: u64, seed: u64, replication: u64) -> TraceKey {
         TraceKey {
@@ -120,15 +136,15 @@ mod tests {
         }
     }
 
-    fn build(seed: u64) -> ContactTrace {
-        HaggleParams::default().generate(&mut SimRng::new(seed))
+    fn start(seed: u64) -> LazyTrace {
+        LazyTrace::complete(HaggleParams::default().generate(&mut SimRng::new(seed)))
     }
 
     #[test]
     fn second_lookup_is_a_hit_and_shares_the_arc() {
         let cache = TraceCache::new();
-        let a = cache.get_or_build(key(1, 7, 0), || build(7));
-        let b = cache.get_or_build(key(1, 7, 0), || panic!("must not rebuild"));
+        let a = cache.get_or_start(key(1, 7, 0), || start(7));
+        let b = cache.get_or_start(key(1, 7, 0), || panic!("must not restart"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
@@ -138,8 +154,8 @@ mod tests {
     fn clones_share_one_store() {
         let cache = TraceCache::new();
         let handle = cache.clone();
-        let a = handle.get_or_build(key(1, 7, 0), || build(7));
-        let b = cache.get_or_build(key(1, 7, 0), || panic!("must not rebuild"));
+        let a = handle.get_or_start(key(1, 7, 0), || start(7));
+        let b = cache.get_or_start(key(1, 7, 0), || panic!("must not restart"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(handle.len(), 1);
@@ -148,9 +164,9 @@ mod tests {
     #[test]
     fn distinct_keys_build_distinct_traces() {
         let cache = TraceCache::new();
-        let a = cache.get_or_build(key(1, 7, 0), || build(7));
-        let b = cache.get_or_build(key(1, 8, 0), || build(8));
-        let c = cache.get_or_build(key(2, 7, 0), || build(7));
+        let a = cache.get_or_start(key(1, 7, 0), || start(7)).to_trace();
+        let b = cache.get_or_start(key(1, 8, 0), || start(8)).to_trace();
+        let c = cache.get_or_start(key(2, 7, 0), || start(7)).to_trace();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_ne!(a.contacts(), b.contacts());
         // Same generator output under a different scenario id: cached
@@ -162,10 +178,10 @@ mod tests {
     #[test]
     fn concurrent_lookups_agree() {
         let cache = TraceCache::new();
-        let traces: Vec<Arc<ContactTrace>> = dtn_sim::par_map_indexed(
+        let traces: Vec<Arc<LazyTrace>> = dtn_sim::par_map_indexed(
             dtn_sim::Threads::Fixed(std::num::NonZeroUsize::new(4).unwrap()),
             16,
-            |i| cache.get_or_build(key(1, 7, (i % 2) as u64), || build(7)),
+            |i| cache.get_or_start(key(1, 7, (i % 2) as u64), || start(7)),
         );
         for pair in traces.chunks(2) {
             assert!(Arc::ptr_eq(&pair[0], &traces[0]));
@@ -174,5 +190,27 @@ mod tests {
         let (hits, misses) = cache.stats();
         assert_eq!(hits + misses, 16);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn bytes_count_published_contacts_and_generator_state() {
+        let cache = TraceCache::new();
+        let params = SubscriberParams::default();
+        let trace = cache.get_or_start(key(2, 1, 0), || params.lazy(&mut SimRng::new(1)));
+        let fresh = cache.bytes();
+        let read = trace
+            .stream()
+            .take_while(|c| c.start < SimTime::from_secs(20_000))
+            .count();
+        let part = cache.bytes();
+        assert!(part >= fresh + read * std::mem::size_of::<crate::Contact>());
+        // Read to the horizon, the generator is gone: what is left is the
+        // published contacts and the entry itself.
+        let all = trace.stream().count();
+        assert!(trace.is_complete());
+        assert_eq!(
+            cache.bytes(),
+            std::mem::size_of::<LazyTrace>() + all * std::mem::size_of::<crate::Contact>()
+        );
     }
 }

@@ -20,7 +20,10 @@
 //! * [`subscriber`] — the paper's modified RWP, where nodes hop between
 //!   subscriber points and meet while co-located;
 //! * [`scenario`] — the Fig. 14 controlled-interval scenarios (20 nodes,
-//!   bounded encounter count, max gap 400 vs 2000 s).
+//!   bounded encounter count, max gap 400 vs 2000 s);
+//! * [`lazy`] — traces generated a time window at a time as readers reach
+//!   them ([`LazyTrace`]), and the [`ContactStream`] every reader, and the
+//!   simulator, walks a trace with.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,6 +31,7 @@
 pub mod analysis;
 pub mod cache;
 pub mod contact;
+pub mod lazy;
 pub mod rwp;
 pub mod scenario;
 pub mod subscriber;
@@ -37,6 +41,7 @@ pub mod trace_io;
 pub use analysis::{Ccdf, TraceSummary};
 pub use cache::{TraceCache, TraceKey};
 pub use contact::{Contact, ContactTrace, NodeId, TraceInvariantError};
+pub use lazy::{ContactStream, LazyTrace, SharedTrace};
 pub use rwp::RwpParams;
 pub use scenario::IntervalScenario;
 pub use subscriber::SubscriberParams;

@@ -21,6 +21,7 @@
 //! bound (Resta & Santi's fix, the paper's reference \[19\]).
 
 use crate::contact::{Contact, ContactTrace, NodeId};
+use crate::lazy::{Generate, LazyTrace};
 use dtn_sim::{SimRng, SimTime};
 
 /// A 2-D vector/point in meters.
@@ -130,110 +131,369 @@ impl RwpParams {
         assert!(self.pause_max_s >= 0.0);
     }
 
-    /// Generate one node's trajectory out to the horizon.
+    /// One node's trajectory out to `horizon_s`, as a leg list.
+    #[cfg(test)]
     fn trajectory(&self, rng: &mut SimRng, horizon_s: f64) -> Vec<Leg> {
+        let mut mover = Mover::start(rng.clone(), self.area_side_m);
         let mut legs = Vec::new();
-        let mut t = 0.0;
-        let mut pos = Vec2 {
-            x: rng.range_f64(0.0, self.area_side_m),
-            y: rng.range_f64(0.0, self.area_side_m),
-        };
-        while t < horizon_s {
-            // Pause phase (possibly zero-length).
-            if self.pause_max_s > 0.0 {
-                let pause = rng.range_f64(0.0, self.pause_max_s);
-                if pause > 0.0 {
-                    legs.push(Leg {
-                        t0: t,
-                        t1: (t + pause).min(horizon_s),
-                        p0: pos,
-                        v: Vec2 { x: 0.0, y: 0.0 },
-                    });
-                    t += pause;
-                    if t >= horizon_s {
-                        break;
-                    }
-                }
-            }
-            // Travel phase.
-            let target = Vec2 {
-                x: rng.range_f64(0.0, self.area_side_m),
-                y: rng.range_f64(0.0, self.area_side_m),
-            };
-            let delta = target - pos;
-            let dist = delta.norm();
-            if dist < 1e-9 {
-                continue; // degenerate waypoint; redraw
-            }
-            let speed = rng.range_f64(self.speed_min_mps, self.speed_max_mps);
-            let travel = dist / speed;
-            legs.push(Leg {
-                t0: t,
-                t1: (t + travel).min(horizon_s),
-                p0: pos,
-                v: Vec2 {
-                    x: delta.x / travel,
-                    y: delta.y / travel,
-                },
-            });
-            t += travel;
-            pos = target;
-        }
+        while mover.step(self, horizon_s, |leg| legs.push(leg)) {}
+        *rng = mover.rng;
         legs
     }
 
-    /// Generate the full contact trace.
+    /// Generate the full contact trace: the generator behind
+    /// [`RwpParams::lazy`], extended to the horizon in one go.
     pub fn generate(&self, rng: &mut SimRng) -> ContactTrace {
+        let mut contacts = Vec::new();
+        self.scan(rng).extend(self.horizon, &mut contacts);
+        contacts.sort_unstable_by_key(|c| (c.start, c.a, c.b));
+        ContactTrace::from_sorted(self.nodes, self.horizon, contacts)
+    }
+
+    /// The same trace, generated a time window at a time as it is read.
+    /// Draws from `rng` exactly what [`RwpParams::generate`] draws.
+    pub fn lazy(&self, rng: &mut SimRng) -> LazyTrace {
+        LazyTrace::new(self.nodes, self.horizon, Box::new(self.scan(rng)))
+    }
+
+    /// Move every node once without recording anything, to snapshot the
+    /// RNG where each node's trajectory starts: the trajectories are one
+    /// stream, node-major. The scan re-moves each node from its snapshot
+    /// as it goes.
+    fn scan(&self, rng: &mut SimRng) -> RangeScan {
         self.validate();
         let horizon_s = self.horizon.as_secs_f64();
-        let trajectories: Vec<Vec<Leg>> = (0..self.nodes)
-            .map(|_| self.trajectory(rng, horizon_s))
+        let mut tracks = Vec::with_capacity(self.nodes);
+        for _ in 0..self.nodes {
+            let snapshot = rng.clone();
+            let mut mover = Mover::start(rng.clone(), self.area_side_m);
+            while mover.step(self, horizon_s, |_| {}) {}
+            *rng = mover.rng;
+            tracks.push(Track {
+                mover: Mover::start(snapshot, self.area_side_m),
+                legs: Vec::new(),
+                first: 0,
+                ended: false,
+            });
+        }
+        let pairs = (0..self.nodes)
+            .flat_map(|a| (a + 1..self.nodes).map(move |b| (a, b)))
+            .map(|(a, b)| (a as u16, b as u16, PairScan::default()))
             .collect();
+        RangeScan {
+            params: self.clone(),
+            horizon_s,
+            tracks,
+            pairs,
+        }
+    }
+}
 
-        let mut contacts = Vec::new();
-        for a in 0..self.nodes {
-            for b in (a + 1)..self.nodes {
-                let intervals =
-                    contact_intervals(&trajectories[a], &trajectories[b], self.range_m, horizon_s);
-                for (start, end) in intervals {
-                    // Sub-millisecond grazes round to empty; skip them.
-                    let s = SimTime::from_secs_f64(start);
-                    let e = SimTime::from_secs_f64(end.min(horizon_s));
-                    if e > s {
-                        contacts.push(Contact::new(NodeId(a as u16), NodeId(b as u16), s, e));
-                    }
+/// One node's movement: pause, then travel to a uniform waypoint, drawing
+/// from its own copy of the RNG stream.
+#[derive(Clone, Debug)]
+struct Mover {
+    rng: SimRng,
+    /// End of the legs drawn so far (s).
+    t: f64,
+    pos: Vec2,
+}
+
+impl Mover {
+    /// Start at a uniform position.
+    fn start(mut rng: SimRng, side: f64) -> Mover {
+        let pos = Vec2 {
+            x: rng.range_f64(0.0, side),
+            y: rng.range_f64(0.0, side),
+        };
+        Mover { rng, t: 0.0, pos }
+    }
+
+    /// Draw one pause/travel cycle and hand its legs (up to two) to
+    /// `push`. Returns false, drawing nothing, once the legs reach
+    /// `horizon_s`.
+    fn step(&mut self, p: &RwpParams, horizon_s: f64, mut push: impl FnMut(Leg)) -> bool {
+        if self.t >= horizon_s {
+            return false;
+        }
+        // Pause phase (possibly zero-length).
+        if p.pause_max_s > 0.0 {
+            let pause = self.rng.range_f64(0.0, p.pause_max_s);
+            if pause > 0.0 {
+                push(Leg {
+                    t0: self.t,
+                    t1: (self.t + pause).min(horizon_s),
+                    p0: self.pos,
+                    v: Vec2 { x: 0.0, y: 0.0 },
+                });
+                self.t += pause;
+                if self.t >= horizon_s {
+                    return true;
                 }
             }
         }
-        ContactTrace::new(self.nodes, self.horizon, contacts)
-            .expect("generator upholds trace invariants")
+        // Travel phase.
+        let target = Vec2 {
+            x: self.rng.range_f64(0.0, p.area_side_m),
+            y: self.rng.range_f64(0.0, p.area_side_m),
+        };
+        let delta = target - self.pos;
+        let dist = delta.norm();
+        if dist < 1e-9 {
+            return true; // degenerate waypoint; redraw next cycle
+        }
+        let speed = self.rng.range_f64(p.speed_min_mps, p.speed_max_mps);
+        let travel = dist / speed;
+        push(Leg {
+            t0: self.t,
+            t1: (self.t + travel).min(horizon_s),
+            p0: self.pos,
+            v: Vec2 {
+                x: delta.x / travel,
+                y: delta.y / travel,
+            },
+        });
+        self.t += travel;
+        self.pos = target;
+        true
     }
+}
+
+/// A node's legs from index `first` on, drawn as the pair scans need them.
+#[derive(Clone, Debug)]
+struct Track {
+    mover: Mover,
+    legs: Vec<Leg>,
+    /// Index, in the whole trajectory, of `legs[0]`.
+    first: usize,
+    /// The trajectory has reached the horizon: `legs` ends it.
+    ended: bool,
+}
+
+impl Track {
+    /// Draw a few more pause/travel cycles.
+    fn grow(&mut self, p: &RwpParams, horizon_s: f64) {
+        let legs = &mut self.legs;
+        for _ in 0..8 {
+            if !self.mover.step(p, horizon_s, |leg| legs.push(leg)) {
+                self.ended = true;
+                break;
+            }
+        }
+    }
+
+    fn view(&self) -> Legs<'_> {
+        Legs {
+            legs: &self.legs,
+            first: self.first,
+            ended: self.ended,
+        }
+    }
+
+    /// Forget the legs before index `keep`.
+    fn drop_before(&mut self, keep: usize) {
+        let n = keep.saturating_sub(self.first).min(self.legs.len());
+        self.legs.drain(..n);
+        self.first += n;
+    }
+}
+
+/// The legs of one trajectory drawn so far, from index `first` on.
+#[derive(Clone, Copy, Debug)]
+struct Legs<'a> {
+    legs: &'a [Leg],
+    first: usize,
+    /// No legs follow `legs`.
+    ended: bool,
+}
+
+/// Intervals separated by less than 1 ms are joined — that is the
+/// clock's resolution, so the simulator could not distinguish them anyway.
+const JOIN_EPS: f64 = 1e-3;
+
+/// One pair's forward merge over its two leg lists: the in-range window
+/// of each overlapping leg pair, joined into `pending` while they touch.
+#[derive(Clone, Copy, Debug, Default)]
+struct PairScan {
+    /// Next leg of each node.
+    i: usize,
+    j: usize,
+    /// The merged interval still open to joins, in seconds.
+    pending: Option<(f64, f64)>,
+    /// The legs ran out: every interval is out.
+    done: bool,
+}
+
+/// Which node's trajectory a scan needs more legs of.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Need {
+    A,
+    B,
+}
+
+impl PairScan {
+    /// Hand `emit` every merged interval that starts before `until`, in
+    /// order. An interval is final once the scan has passed its end plus
+    /// the join gap (nothing later can join it), so the scan may read
+    /// legs past `until` to close one; it stops at the first interval, or
+    /// leg window, that starts at or after `until`, or when it needs legs
+    /// not drawn yet (it then says whose, and resumes on the next call).
+    #[allow(clippy::too_many_arguments)]
+    fn advance(
+        &mut self,
+        a: Legs<'_>,
+        b: Legs<'_>,
+        range: f64,
+        horizon_s: f64,
+        until: SimTime,
+        mut emit: impl FnMut((f64, f64)),
+    ) -> Option<Need> {
+        // `SimTime::from_secs_f64(t) >= until` for the times t ≥ 0 seen
+        // here, without rounding each one: that conversion rounds t·1000
+        // half away from zero, so it reaches `until` exactly when t·1000
+        // reaches `until` − 0.5 ms.
+        let cut = until.as_millis() as f64 - 0.5;
+        while !self.done {
+            if let Some((s, _)) = self.pending {
+                if s * 1000.0 >= cut {
+                    return None;
+                }
+            }
+            let (la, lb) = match (a.legs.get(self.i - a.first), b.legs.get(self.j - b.first)) {
+                (Some(la), Some(lb)) => (la, lb),
+                (None, _) if !a.ended => return Some(Need::A),
+                (Some(_), None) if !b.ended => return Some(Need::B),
+                _ => {
+                    self.pending.take().map(&mut emit);
+                    self.done = true;
+                    return None;
+                }
+            };
+            let lo = la.t0.max(lb.t0);
+            match self.pending {
+                Some((_, end)) if lo > end + JOIN_EPS => {
+                    self.pending.take().map(&mut emit);
+                    continue;
+                }
+                None if lo * 1000.0 >= cut => return None,
+                _ => {}
+            }
+            let hi = la.t1.min(lb.t1).min(horizon_s);
+            if hi > lo {
+                if let Some((s, e)) = in_range_window(la, lb, range, lo, hi) {
+                    match &mut self.pending {
+                        Some(last) if s <= last.1 + JOIN_EPS => last.1 = last.1.max(e),
+                        pending => {
+                            pending.take().map(&mut emit);
+                            *pending = Some((s, e));
+                        }
+                    }
+                }
+            }
+            // Advance whichever leg ends first.
+            if la.t1 <= lb.t1 {
+                self.i += 1;
+            } else {
+                self.j += 1;
+            }
+        }
+        None
+    }
+}
+
+/// The incremental contact generator: every pair's scan, over legs drawn
+/// on demand and forgotten once every pair is past them.
+#[derive(Debug)]
+struct RangeScan {
+    params: RwpParams,
+    horizon_s: f64,
+    tracks: Vec<Track>,
+    /// Every pair `(a, b)`, `a < b`, with its scan.
+    pairs: Vec<(u16, u16, PairScan)>,
+}
+
+impl Generate for RangeScan {
+    fn extend(&mut self, until: SimTime, out: &mut Vec<Contact>) {
+        let RangeScan {
+            params,
+            horizon_s,
+            tracks,
+            pairs,
+        } = self;
+        let horizon_s = *horizon_s;
+        for (a, b, scan) in pairs.iter_mut() {
+            let (ta, tb) = two_mut(tracks, *a as usize, *b as usize);
+            let mut emit = |(start, end): (f64, f64)| {
+                // Sub-millisecond grazes round to empty; skip them.
+                let s = SimTime::from_secs_f64(start);
+                let e = SimTime::from_secs_f64(end.min(horizon_s));
+                if e > s {
+                    out.push(Contact::new(NodeId(*a), NodeId(*b), s, e));
+                }
+            };
+            while let Some(need) = scan.advance(
+                ta.view(),
+                tb.view(),
+                params.range_m,
+                horizon_s,
+                until,
+                &mut emit,
+            ) {
+                match need {
+                    Need::A => ta.grow(params, horizon_s),
+                    Need::B => tb.grow(params, horizon_s),
+                }
+            }
+        }
+        // Keep only the legs some pair has yet to read.
+        let mut keep = vec![usize::MAX; tracks.len()];
+        for (a, b, scan) in pairs.iter().filter(|(_, _, scan)| !scan.done) {
+            keep[*a as usize] = keep[*a as usize].min(scan.i);
+            keep[*b as usize] = keep[*b as usize].min(scan.j);
+        }
+        for (track, keep) in tracks.iter_mut().zip(keep) {
+            track.drop_before(keep);
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.tracks.capacity() * size_of::<Track>()
+            + self
+                .tracks
+                .iter()
+                .map(|t| t.legs.capacity() * size_of::<Leg>())
+                .sum::<usize>()
+            + self.pairs.capacity() * size_of::<(u16, u16, PairScan)>()
+    }
+}
+
+/// Split two distinct mutable references out of a slice.
+fn two_mut<T>(xs: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
+    assert!(i < j, "two_mut wants ascending indices");
+    let (lo, hi) = xs.split_at_mut(j);
+    (&mut lo[i], &mut hi[0])
 }
 
 /// Sub-intervals of `[0, horizon]` during which two piecewise-linear
 /// trajectories stay within `range` of each other, found analytically and
 /// merged.
 pub fn contact_intervals(ta: &[Leg], tb: &[Leg], range: f64, horizon_s: f64) -> Vec<(f64, f64)> {
-    let mut raw: Vec<(f64, f64)> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ta.len() && j < tb.len() {
-        let la = &ta[i];
-        let lb = &tb[j];
-        let lo = la.t0.max(lb.t0);
-        let hi = la.t1.min(lb.t1).min(horizon_s);
-        if hi > lo {
-            if let Some((s, e)) = in_range_window(la, lb, range, lo, hi) {
-                raw.push((s, e));
-            }
-        }
-        // Advance whichever leg ends first.
-        if la.t1 <= lb.t1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    merge_intervals(raw)
+    let whole = |legs| Legs {
+        legs,
+        first: 0,
+        ended: true,
+    };
+    let mut merged = Vec::new();
+    PairScan::default().advance(
+        whole(ta),
+        whole(tb),
+        range,
+        horizon_s,
+        SimTime::MAX,
+        |interval| merged.push(interval),
+    );
+    merged
 }
 
 /// Solve for the in-range sub-interval of `[lo, hi]` on a single pair of
@@ -269,10 +529,8 @@ fn in_range_window(la: &Leg, lb: &Leg, range: f64, lo: f64, hi: f64) -> Option<(
 }
 
 /// Merge touching/overlapping `(start, end)` intervals (input need not be
-/// sorted). Intervals separated by less than 1 ms are joined — that is the
-/// clock's resolution, so the simulator could not distinguish them anyway.
+/// sorted). Intervals separated by less than 1 ms are joined.
 pub fn merge_intervals(mut xs: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    const JOIN_EPS: f64 = 1e-3;
     xs.sort_by(|p, q| p.0.total_cmp(&q.0));
     let mut out: Vec<(f64, f64)> = Vec::with_capacity(xs.len());
     for (s, e) in xs {
@@ -352,6 +610,157 @@ mod tests {
     fn merge_intervals_joins_and_sorts() {
         let merged = merge_intervals(vec![(10.0, 20.0), (5.0, 8.0), (19.9999, 30.0)]);
         assert_eq!(merged, vec![(5.0, 8.0), (10.0, 30.0)]);
+    }
+
+    /// The eager generator this module used to run: every trajectory in
+    /// full, every pair's raw windows merged, then one sort.
+    fn eager_generate(params: &RwpParams, rng: &mut SimRng) -> ContactTrace {
+        let horizon_s = params.horizon.as_secs_f64();
+        let trajectories: Vec<Vec<Leg>> = (0..params.nodes)
+            .map(|_| eager_trajectory(params, rng, horizon_s))
+            .collect();
+        let mut contacts = Vec::new();
+        for a in 0..params.nodes {
+            for b in (a + 1)..params.nodes {
+                let (ta, tb) = (&trajectories[a], &trajectories[b]);
+                let mut raw: Vec<(f64, f64)> = Vec::new();
+                let (mut i, mut j) = (0usize, 0usize);
+                while i < ta.len() && j < tb.len() {
+                    let (la, lb) = (&ta[i], &tb[j]);
+                    let lo = la.t0.max(lb.t0);
+                    let hi = la.t1.min(lb.t1).min(horizon_s);
+                    if hi > lo {
+                        if let Some(w) = in_range_window(la, lb, params.range_m, lo, hi) {
+                            raw.push(w);
+                        }
+                    }
+                    if la.t1 <= lb.t1 {
+                        i += 1;
+                    } else {
+                        j += 1;
+                    }
+                }
+                for (start, end) in merge_intervals(raw) {
+                    let s = SimTime::from_secs_f64(start);
+                    let e = SimTime::from_secs_f64(end.min(horizon_s));
+                    if e > s {
+                        contacts.push(Contact::new(NodeId(a as u16), NodeId(b as u16), s, e));
+                    }
+                }
+            }
+        }
+        ContactTrace::new(params.nodes, params.horizon, contacts).unwrap()
+    }
+
+    fn eager_trajectory(params: &RwpParams, rng: &mut SimRng, horizon_s: f64) -> Vec<Leg> {
+        let mut legs = Vec::new();
+        let mut t = 0.0;
+        let mut pos = Vec2 {
+            x: rng.range_f64(0.0, params.area_side_m),
+            y: rng.range_f64(0.0, params.area_side_m),
+        };
+        while t < horizon_s {
+            if params.pause_max_s > 0.0 {
+                let pause = rng.range_f64(0.0, params.pause_max_s);
+                if pause > 0.0 {
+                    legs.push(leg(
+                        t,
+                        (t + pause).min(horizon_s),
+                        (pos.x, pos.y),
+                        (0.0, 0.0),
+                    ));
+                    t += pause;
+                    if t >= horizon_s {
+                        break;
+                    }
+                }
+            }
+            let target = Vec2 {
+                x: rng.range_f64(0.0, params.area_side_m),
+                y: rng.range_f64(0.0, params.area_side_m),
+            };
+            let delta = target - pos;
+            let dist = delta.norm();
+            if dist < 1e-9 {
+                continue;
+            }
+            let speed = rng.range_f64(params.speed_min_mps, params.speed_max_mps);
+            let travel = dist / speed;
+            let v = (delta.x / travel, delta.y / travel);
+            legs.push(leg(t, (t + travel).min(horizon_s), (pos.x, pos.y), v));
+            t += travel;
+            pos = target;
+        }
+        legs
+    }
+
+    /// `generate`, and the lazy trace read every way, against the eager
+    /// generator; both must also leave the RNG where it does.
+    fn assert_matches_eager(params: &RwpParams, seed: u64) {
+        let mut rng = SimRng::new(seed);
+        let reference = eager_generate(params, &mut rng);
+        let mut generated = SimRng::new(seed);
+        let trace = params.generate(&mut generated);
+        assert_eq!(trace.contacts(), reference.contacts(), "seed {seed}");
+        assert_eq!(generated, rng, "seed {seed}: draws");
+        let mut lazy = SimRng::new(seed);
+        drop(params.lazy(&mut lazy));
+        assert_eq!(lazy, rng, "seed {seed}: lazy draws");
+        crate::lazy::assert_stream_matches(
+            || params.lazy(&mut SimRng::new(seed)),
+            &reference,
+            seed,
+        );
+    }
+
+    #[test]
+    fn incremental_scan_matches_the_eager_merge() {
+        // Short horizons keep this fast in debug builds; the pause and
+        // range settings cover zero pauses, long co-located pauses and
+        // long-lived pair intervals that straddle windows.
+        for (pause_max_s, range_m) in [(0.0, 100.0), (1_000.0, 100.0), (5_000.0, 300.0)] {
+            let params = RwpParams {
+                horizon: SimTime::from_secs(20_000),
+                pause_max_s,
+                range_m,
+                ..RwpParams::default()
+            };
+            for seed in 0..20 {
+                assert_matches_eager(&params, seed);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "full scale: run with --release")]
+    fn full_scale_stream_matches_eager_generate() {
+        let params = RwpParams {
+            horizon: SimTime::from_secs(600_000),
+            ..RwpParams::default()
+        };
+        for seed in 0..200 {
+            assert_matches_eager(&params, seed);
+        }
+    }
+
+    #[test]
+    fn a_part_read_holds_less_than_the_finished_trace() {
+        let params = RwpParams {
+            horizon: SimTime::from_secs(600_000),
+            ..RwpParams::default()
+        };
+        let trace = params.lazy(&mut SimRng::new(5));
+        let early = trace
+            .stream()
+            .take_while(|c| c.start < SimTime::from_secs(10_000))
+            .count();
+        assert!(early > 0);
+        let full = params.generate(&mut SimRng::new(5)).len();
+        assert!(
+            trace.bytes() < full * std::mem::size_of::<Contact>() / 4,
+            "{} bytes after a 10 000 s read of a {full}-contact trace",
+            trace.bytes()
+        );
     }
 
     #[test]

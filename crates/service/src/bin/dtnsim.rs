@@ -1347,14 +1347,16 @@ fn main() -> ExitCode {
     if args.stats {
         log.info(format!(
             "\ncontact-trace summary:\n{}",
-            TraceSummary::of(&plan.traces.get(0)).to_text()
+            TraceSummary::of(&plan.traces.get(0).to_trace()).to_text()
         ));
     }
 
     let probed = args.trace_out.is_some() || args.series_out.is_some();
-    // Warm the trace cache up front so the report's phase breakdown can
-    // separate mobility preparation from the protocol loop (a file trace
-    // is already loaded, so its trace phase is just handing it out).
+    // Start every replication's trace up front so the report's phase
+    // breakdown can separate mobility preparation (the generators' eager
+    // pre-pass) from the protocol loop, which generates the windows it
+    // reads. A file trace is already loaded, so its trace phase is just
+    // handing it out.
     let trace_started = Instant::now();
     for rep in 0..args.reps {
         let _ = plan.traces.get(rep as u64);

@@ -502,6 +502,16 @@ fn register_derived_gauges(shared: &Arc<Shared>) {
         "cache-journal write failures survived",
         &[],
     );
+    let trace_entries_g = reg.gauge(
+        "dtnsimd_trace_cache_entries",
+        "contact traces held by the trace cache",
+        &[],
+    );
+    let trace_bytes_g = reg.gauge(
+        "dtnsimd_trace_cache_bytes",
+        "bytes the trace cache holds: published contacts plus generator state",
+        &[],
+    );
     workers_g.set(shared.config.workers as f64);
     capacity_g.set(shared.config.queue_capacity as f64);
     let hook_shared = Arc::clone(shared);
@@ -517,6 +527,8 @@ fn register_derived_gauges(shared: &Arc<Shared>) {
         entries_g.set(hook_shared.store.stats().2 as f64);
         flushes_g.set(hook_shared.store.journal_flushes() as f64);
         journal_errors_g.set(hook_shared.store.journal_errors() as f64);
+        trace_entries_g.set(hook_shared.trace_cache.len() as f64);
+        trace_bytes_g.set(hook_shared.trace_cache.bytes() as f64);
     });
 }
 

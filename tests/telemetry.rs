@@ -73,6 +73,8 @@ fn metrics_endpoint_serves_live_monotone_daemon_telemetry() {
         "# TYPE dtnsimd_queue_depth gauge",
         "# TYPE dtnsimd_inflight_jobs gauge",
         "# TYPE dtnsimd_worker_utilization gauge",
+        "# TYPE dtnsimd_trace_cache_entries gauge",
+        "# TYPE dtnsimd_trace_cache_bytes gauge",
         "# TYPE dtnsimd_queue_wait_seconds histogram",
         "# TYPE dtnsimd_sim_seconds histogram",
         "# TYPE dtnsimd_serialize_seconds histogram",
@@ -128,6 +130,9 @@ fn metrics_endpoint_serves_live_monotone_daemon_telemetry() {
         wait_count_after >= wait_count_before + 1.0,
         "fresh job must record a queue-wait sample: {wait_count_before} -> {wait_count_after}"
     );
+    // The fresh job's traces stay in the daemon's trace cache.
+    assert!(series_value(&after, "dtnsimd_trace_cache_entries") >= 1.0);
+    assert!(series_value(&after, "dtnsimd_trace_cache_bytes") > 0.0);
     let utilization = series_value(&after, "dtnsimd_worker_utilization");
     assert!(
         (0.0..=1.0).contains(&utilization),
