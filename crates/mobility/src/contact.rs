@@ -176,7 +176,7 @@ impl ContactTrace {
                 });
             }
         }
-        contacts.sort_by_key(|c| (c.start, c.a, c.b));
+        sort_contacts(&mut contacts);
         Ok(ContactTrace {
             node_count,
             horizon,
@@ -349,6 +349,12 @@ impl ContactTrace {
         }
         map
     }
+}
+
+/// Put contacts in trace order, `(start, a, b)`: the one sort every trace
+/// and every lazily generated window goes through.
+pub(crate) fn sort_contacts(contacts: &mut [Contact]) {
+    contacts.sort_by_key(|c| (c.start, c.a, c.b));
 }
 
 #[cfg(test)]

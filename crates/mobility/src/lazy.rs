@@ -23,7 +23,7 @@
 //!   contacts and its generator's compact state; a trace read to its
 //!   horizon drops its generator.
 
-use crate::contact::{Contact, ContactTrace};
+use crate::contact::{sort_contacts, Contact, ContactTrace};
 use dtn_sim::SimTime;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -155,7 +155,7 @@ impl LazyTrace {
             let until = window_end(self.horizon, f.published);
             let mut batch = Vec::new();
             f.generator.extend(until, &mut batch);
-            batch.sort_unstable_by_key(|c| (c.start, c.a, c.b));
+            sort_contacts(&mut batch);
             let _ = self.windows[f.published].set(batch.into_boxed_slice());
             f.published += 1;
             if until == self.horizon {

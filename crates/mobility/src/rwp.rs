@@ -146,8 +146,8 @@ impl RwpParams {
     pub fn generate(&self, rng: &mut SimRng) -> ContactTrace {
         let mut contacts = Vec::new();
         self.scan(rng).extend(self.horizon, &mut contacts);
-        contacts.sort_unstable_by_key(|c| (c.start, c.a, c.b));
-        ContactTrace::from_sorted(self.nodes, self.horizon, contacts)
+        ContactTrace::new(self.nodes, self.horizon, contacts)
+            .expect("generator upholds trace invariants")
     }
 
     /// The same trace, generated a time window at a time as it is read.

@@ -103,8 +103,8 @@ impl SubscriberParams {
     pub fn generate(&self, rng: &mut SimRng) -> ContactTrace {
         let mut contacts = Vec::new();
         self.sweep(rng).extend(self.horizon, &mut contacts);
-        contacts.sort_unstable_by_key(|c| (c.start, c.a, c.b));
-        ContactTrace::from_sorted(self.nodes, self.horizon, contacts)
+        ContactTrace::new(self.nodes, self.horizon, contacts)
+            .expect("generator upholds trace invariants")
     }
 
     /// The same trace, generated a time window at a time as it is read.
@@ -136,14 +136,18 @@ impl SubscriberParams {
             *rng = walk.rng;
             walkers.push(Walker::start(NodeId(n), snapshot, self.points));
         }
-        let next = walkers.iter_mut().map(|w| w.step(self, &points)).collect();
-        PointSweep {
+        let mut sweep = PointSweep {
             params: self.clone(),
             open: vec![Vec::new(); points.len()],
             points,
+            next: vec![FINISHED; walkers.len()],
+            arrivals: vec![SimTime::MAX; walkers.len()],
             walkers,
-            next,
+        };
+        for i in 0..sweep.walkers.len() {
+            sweep.draw_next(i);
         }
+        sweep
     }
 }
 
@@ -216,24 +220,39 @@ struct PointSweep {
     points: Vec<(f64, f64)>,
     walkers: Vec<Walker>,
     /// Each walker's next visit, not yet swept.
-    next: Vec<Option<Visit>>,
+    next: Vec<Visit>,
+    /// Each next visit's arrival; `SimTime::MAX` once the walk is over.
+    arrivals: Vec<SimTime>,
     /// Per point, the swept visits that may still overlap a later arrival.
     open: Vec<Vec<Visit>>,
 }
 
+/// Stands in for the next visit of a walk that is over.
+const FINISHED: Visit = Visit {
+    node: NodeId(0),
+    point: 0,
+    arrive: SimTime::MAX,
+    depart: SimTime::MAX,
+};
+
 impl PointSweep {
+    /// Draw walker `i`'s next visit.
+    fn draw_next(&mut self, i: usize) {
+        let next = self.walkers[i].step(&self.params, &self.points);
+        self.next[i] = next.unwrap_or(FINISHED);
+        self.arrivals[i] = next.map_or(SimTime::MAX, |v| v.arrive);
+    }
+
     /// The walker whose next visit arrives first, if it arrives before
     /// `until`.
     fn earliest(&self, until: SimTime) -> Option<usize> {
-        let mut best: Option<(usize, SimTime)> = None;
-        for (i, visit) in self.next.iter().enumerate() {
-            if let Some(v) = visit {
-                if v.arrive < until && best.map_or(true, |(_, t)| v.arrive < t) {
-                    best = Some((i, v.arrive));
-                }
+        let (mut best, mut first) = (None, until);
+        for (i, &arrive) in self.arrivals.iter().enumerate() {
+            if arrive < first {
+                (best, first) = (Some(i), arrive);
             }
         }
-        best.map(|(i, _)| i)
+        best
     }
 }
 
@@ -241,8 +260,8 @@ impl Generate for PointSweep {
     fn extend(&mut self, until: SimTime, out: &mut Vec<Contact>) {
         let (cap, horizon) = (self.params.contact_cap, self.params.horizon);
         while let Some(i) = self.earliest(until) {
-            let vb = self.next[i].take().expect("earliest has a visit");
-            self.next[i] = self.walkers[i].step(&self.params, &self.points);
+            let vb = self.next[i];
+            self.draw_next(i);
             let open = &mut self.open[vb.point as usize];
             // Visits reach each point in arrival order, so one that has
             // left by now overlaps nothing later.
@@ -265,7 +284,8 @@ impl Generate for PointSweep {
         use std::mem::size_of;
         self.points.capacity() * size_of::<(f64, f64)>()
             + self.walkers.capacity() * size_of::<Walker>()
-            + self.next.capacity() * size_of::<Option<Visit>>()
+            + self.next.capacity() * size_of::<Visit>()
+            + self.arrivals.capacity() * size_of::<SimTime>()
             + self.open.capacity() * size_of::<Vec<Visit>>()
             + self
                 .open
