@@ -184,24 +184,6 @@ impl ContactTrace {
         })
     }
 
-    /// A trace from contacts a generator emitted already sorted by
-    /// `(start, a, b)` and within the invariants.
-    pub(crate) fn from_sorted(
-        node_count: usize,
-        horizon: SimTime,
-        contacts: Vec<Contact>,
-    ) -> ContactTrace {
-        debug_assert!(contacts
-            .windows(2)
-            .all(|w| (w[0].start, w[0].a, w[0].b) <= (w[1].start, w[1].a, w[1].b)));
-        debug_assert!(contacts.iter().all(|c| c.end <= horizon));
-        ContactTrace {
-            node_count,
-            horizon,
-            contacts,
-        }
-    }
-
     /// A reader over the contacts, the form the simulator consumes.
     pub fn stream(&self) -> ContactStream<'_> {
         ContactStream::of(self)

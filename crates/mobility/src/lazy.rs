@@ -177,11 +177,10 @@ impl LazyTrace {
             self.window(WINDOWS - 1);
             let mut contacts = Vec::with_capacity(self.published_contacts());
             contacts.extend(self.stream().copied());
-            Arc::new(ContactTrace::from_sorted(
-                self.node_count,
-                self.horizon,
-                contacts,
-            ))
+            Arc::new(
+                ContactTrace::new(self.node_count, self.horizon, contacts)
+                    .expect("generators uphold trace invariants"),
+            )
         }))
     }
 

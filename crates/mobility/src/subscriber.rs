@@ -500,21 +500,23 @@ mod tests {
 
     /// `generate`, and the lazy trace read every way, against the eager
     /// generator; both must also leave the RNG where it does.
-    fn assert_matches_eager(params: &SubscriberParams, seed: u64) {
+    fn assert_matches_eager(params: &SubscriberParams, seed: u64, read_lazily: bool) {
         let mut rng = SimRng::new(seed);
         let reference = eager_generate(params, &mut rng);
         let mut generated = SimRng::new(seed);
         let trace = params.generate(&mut generated);
         assert_eq!(trace.contacts(), reference.contacts(), "seed {seed}");
         assert_eq!(generated, rng, "seed {seed}: draws");
-        let mut lazy = SimRng::new(seed);
-        drop(params.lazy(&mut lazy));
-        assert_eq!(lazy, rng, "seed {seed}: lazy draws");
-        crate::lazy::assert_stream_matches(
-            || params.lazy(&mut SimRng::new(seed)),
-            &reference,
-            seed,
-        );
+        if read_lazily {
+            let mut lazy = SimRng::new(seed);
+            drop(params.lazy(&mut lazy));
+            assert_eq!(lazy, rng, "seed {seed}: lazy draws");
+            crate::lazy::assert_stream_matches(
+                || params.lazy(&mut SimRng::new(seed)),
+                &reference,
+                seed,
+            );
+        }
     }
 
     #[test]
@@ -522,8 +524,9 @@ mod tests {
         // The general path (record every visit, one stable sort by point,
         // arrival, node, then a sweep per point) is the reference: the
         // incremental sweep must reproduce its contact list exactly,
-        // order included, however the trace is read. Short horizons keep
-        // this fast in debug builds; see the full-scale check below.
+        // order included, however the trace is read. Short horizons, and
+        // the lazy reads on the first 20 seeds only, keep this fast in
+        // debug builds; see the full-scale check below.
         for points in [2, 5, 30, 99] {
             for pause_secs in [1, 300, 999] {
                 let params = SubscriberParams {
@@ -532,8 +535,8 @@ mod tests {
                     horizon: SimTime::from_secs(20_000),
                     ..SubscriberParams::default()
                 };
-                for seed in 0..20 {
-                    assert_matches_eager(&params, seed);
+                for seed in 0..200 {
+                    assert_matches_eager(&params, seed, seed < 20);
                 }
             }
         }
@@ -544,7 +547,7 @@ mod tests {
     fn full_scale_stream_matches_eager_generate() {
         let params = SubscriberParams::default();
         for seed in 0..200 {
-            assert_matches_eager(&params, seed);
+            assert_matches_eager(&params, seed, true);
         }
     }
 
