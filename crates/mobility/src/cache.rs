@@ -105,6 +105,8 @@ impl TraceCache {
     /// Bytes the cached traces hold: published contacts, generator state
     /// and collected copies ([`LazyTrace::bytes`]).
     pub fn bytes(&self) -> usize {
+        // Sum outside the map's lock: each trace's count waits on that
+        // trace's own lock, which a reader may hold while it extends.
         let traces: Vec<Arc<LazyTrace>> = self
             .shared
             .traces
