@@ -21,7 +21,7 @@ use dtn_epidemic::{
     simulate_stream, simulate_stream_probed, AuditMode, AuditProbe, FaultPlan, NullProbe, Probe,
     ProtocolConfig, RunMetrics, SimConfig, TimeSeriesProbe, Workload,
 };
-use dtn_mobility::{ContactTrace, SharedTrace, TraceCache};
+use dtn_mobility::{LazyTrace, TraceCache};
 use dtn_sim::{
     par_map_supervised, JobOutcome, SimDuration, SimRng, Summary, Threads, Watchdog, Welford,
 };
@@ -177,21 +177,22 @@ pub enum Traces {
         /// Shared build-once store.
         cache: TraceCache,
     },
-    /// One loaded trace shared by every replication (a trace file).
-    Fixed(Arc<ContactTrace>),
+    /// One loaded trace shared by every replication (a trace file,
+    /// wrapped once with [`LazyTrace::complete`]).
+    Fixed(Arc<LazyTrace>),
 }
 
 impl Traces {
     /// The trace replication `rep` runs on. A scenario's trace is only
     /// started here (its generator's pre-pass); reading it generates it.
-    pub fn get(&self, rep: u64) -> SharedTrace {
+    pub fn get(&self, rep: u64) -> Arc<LazyTrace> {
         match self {
             Traces::Scenario {
                 mobility,
                 seed,
                 cache,
-            } => SharedTrace::Lazy(mobility.lazy_cached(*seed, rep, cache)),
-            Traces::Fixed(trace) => SharedTrace::Full(Arc::clone(trace)),
+            } => mobility.lazy_cached(*seed, rep, cache),
+            Traces::Fixed(trace) => Arc::clone(trace),
         }
     }
 }
@@ -204,7 +205,7 @@ pub struct Replication<'a> {
     /// Attempt number (0 unless the watchdog is retrying a panic).
     pub attempt: u32,
     /// The contact trace the attempt runs on.
-    pub trace: &'a SharedTrace,
+    pub trace: &'a LazyTrace,
     /// The attempt's workload.
     pub workload: &'a Workload,
     /// The configuration it runs under.

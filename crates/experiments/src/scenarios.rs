@@ -162,7 +162,7 @@ impl Mobility {
             Mobility::Rwp => SubscriberParams::default().lazy(&mut rng),
             Mobility::GeometricRwp => geometric().lazy(&mut rng),
             Mobility::Trace | Mobility::Interval(_) => {
-                LazyTrace::complete(self.build(scenario_seed, replication))
+                LazyTrace::complete(Arc::new(self.build(scenario_seed, replication)))
             }
         }
     }

@@ -139,7 +139,9 @@ mod tests {
     }
 
     fn start(seed: u64) -> LazyTrace {
-        LazyTrace::complete(HaggleParams::default().generate(&mut SimRng::new(seed)))
+        LazyTrace::complete(Arc::new(
+            HaggleParams::default().generate(&mut SimRng::new(seed)),
+        ))
     }
 
     #[test]

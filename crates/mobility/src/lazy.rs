@@ -102,16 +102,16 @@ impl LazyTrace {
         }
     }
 
-    /// An already generated trace, complete from the start: for
-    /// generators cheap enough that windowing would not pay. Readers walk
-    /// `trace` itself.
-    pub fn complete(trace: ContactTrace) -> LazyTrace {
+    /// An already generated trace, complete from the start: a trace
+    /// file, or a generator cheap enough that windowing would not pay.
+    /// Readers walk `trace` itself.
+    pub fn complete(trace: Arc<ContactTrace>) -> LazyTrace {
         LazyTrace {
             node_count: trace.node_count(),
             horizon: trace.horizon(),
             windows: std::array::from_fn(|_| OnceLock::from(Box::default())),
             frontier: Mutex::new(None),
-            full: OnceLock::from(Arc::new(trace)),
+            full: OnceLock::from(trace),
         }
     }
 
@@ -285,51 +285,6 @@ impl<'a> Iterator for ContactStream<'a> {
     }
 }
 
-/// A trace as the replications of a point share it: generated on demand
-/// (a cache entry) or fully materialized (a trace file).
-#[derive(Clone, Debug)]
-pub enum SharedTrace {
-    /// Generated window by window as readers reach it.
-    Lazy(Arc<LazyTrace>),
-    /// Loaded or generated whole.
-    Full(Arc<ContactTrace>),
-}
-
-impl SharedTrace {
-    /// Number of nodes in the universe.
-    pub fn node_count(&self) -> usize {
-        match self {
-            SharedTrace::Lazy(t) => t.node_count(),
-            SharedTrace::Full(t) => t.node_count(),
-        }
-    }
-
-    /// The observation horizon.
-    pub fn horizon(&self) -> SimTime {
-        match self {
-            SharedTrace::Lazy(t) => t.horizon(),
-            SharedTrace::Full(t) => t.horizon(),
-        }
-    }
-
-    /// A reader over the contacts, from the first.
-    pub fn stream(&self) -> ContactStream<'_> {
-        match self {
-            SharedTrace::Lazy(t) => t.stream(),
-            SharedTrace::Full(t) => t.stream(),
-        }
-    }
-
-    /// The whole trace, materialized (a lazy trace is generated to its
-    /// horizon and collected once).
-    pub fn to_trace(&self) -> Arc<ContactTrace> {
-        match self {
-            SharedTrace::Lazy(t) => t.to_trace(),
-            SharedTrace::Full(t) => Arc::clone(t),
-        }
-    }
-}
-
 /// Check `make`'s lazy trace against `reference`, the same trace
 /// generated eagerly: read whole, read to a random count and to a random
 /// time and then on, and read by four threads to different depths at
@@ -480,7 +435,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let lazy = LazyTrace::complete(full.clone());
+        let lazy = LazyTrace::complete(Arc::new(full.clone()));
         assert!(lazy.is_complete());
         assert!(lazy.stream().eq(full.stream()));
         assert_eq!(lazy.to_trace().contacts(), full.contacts());

@@ -41,7 +41,7 @@ pub mod trace_io;
 pub use analysis::{Ccdf, TraceSummary};
 pub use cache::{TraceCache, TraceKey};
 pub use contact::{Contact, ContactTrace, NodeId, TraceInvariantError};
-pub use lazy::{ContactStream, LazyTrace, SharedTrace};
+pub use lazy::{ContactStream, LazyTrace};
 pub use rwp::RwpParams;
 pub use scenario::IntervalScenario;
 pub use subscriber::SubscriberParams;

@@ -475,27 +475,6 @@ fn two_mut<T>(xs: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
     (&mut lo[i], &mut hi[0])
 }
 
-/// Sub-intervals of `[0, horizon]` during which two piecewise-linear
-/// trajectories stay within `range` of each other, found analytically and
-/// merged.
-pub fn contact_intervals(ta: &[Leg], tb: &[Leg], range: f64, horizon_s: f64) -> Vec<(f64, f64)> {
-    let whole = |legs| Legs {
-        legs,
-        first: 0,
-        ended: true,
-    };
-    let mut merged = Vec::new();
-    PairScan::default().advance(
-        whole(ta),
-        whole(tb),
-        range,
-        horizon_s,
-        SimTime::MAX,
-        |interval| merged.push(interval),
-    );
-    merged
-}
-
 /// Solve for the in-range sub-interval of `[lo, hi]` on a single pair of
 /// legs. Within one window the in-range set of a quadratic `≤ 0` condition
 /// is a single interval (possibly empty).
@@ -553,6 +532,27 @@ mod tests {
             p0: Vec2 { x: p0.0, y: p0.1 },
             v: Vec2 { x: v.0, y: v.1 },
         }
+    }
+
+    /// Sub-intervals of `[0, horizon]` during which two piecewise-linear
+    /// trajectories stay within `range` of each other: one pair's scan
+    /// over whole leg lists.
+    fn contact_intervals(ta: &[Leg], tb: &[Leg], range: f64, horizon_s: f64) -> Vec<(f64, f64)> {
+        let whole = |legs| Legs {
+            legs,
+            first: 0,
+            ended: true,
+        };
+        let mut merged = Vec::new();
+        PairScan::default().advance(
+            whole(ta),
+            whole(tb),
+            range,
+            horizon_s,
+            SimTime::MAX,
+            |interval| merged.push(interval),
+        );
+        merged
     }
 
     #[test]

@@ -141,7 +141,6 @@ impl SubscriberParams {
             open: vec![Vec::new(); points.len()],
             points,
             next: vec![FINISHED; walkers.len()],
-            arrivals: vec![SimTime::MAX; walkers.len()],
             walkers,
         };
         for i in 0..sweep.walkers.len() {
@@ -219,10 +218,9 @@ struct PointSweep {
     params: SubscriberParams,
     points: Vec<(f64, f64)>,
     walkers: Vec<Walker>,
-    /// Each walker's next visit, not yet swept.
+    /// Each walker's next visit, not yet swept (`FINISHED` once the walk
+    /// is over).
     next: Vec<Visit>,
-    /// Each next visit's arrival; `SimTime::MAX` once the walk is over.
-    arrivals: Vec<SimTime>,
     /// Per point, the swept visits that may still overlap a later arrival.
     open: Vec<Vec<Visit>>,
 }
@@ -238,18 +236,18 @@ const FINISHED: Visit = Visit {
 impl PointSweep {
     /// Draw walker `i`'s next visit.
     fn draw_next(&mut self, i: usize) {
-        let next = self.walkers[i].step(&self.params, &self.points);
-        self.next[i] = next.unwrap_or(FINISHED);
-        self.arrivals[i] = next.map_or(SimTime::MAX, |v| v.arrive);
+        self.next[i] = self.walkers[i]
+            .step(&self.params, &self.points)
+            .unwrap_or(FINISHED);
     }
 
     /// The walker whose next visit arrives first, if it arrives before
     /// `until`.
     fn earliest(&self, until: SimTime) -> Option<usize> {
         let (mut best, mut first) = (None, until);
-        for (i, &arrive) in self.arrivals.iter().enumerate() {
-            if arrive < first {
-                (best, first) = (Some(i), arrive);
+        for (i, visit) in self.next.iter().enumerate() {
+            if visit.arrive < first {
+                (best, first) = (Some(i), visit.arrive);
             }
         }
         best
@@ -285,7 +283,6 @@ impl Generate for PointSweep {
         self.points.capacity() * size_of::<(f64, f64)>()
             + self.walkers.capacity() * size_of::<Walker>()
             + self.next.capacity() * size_of::<Visit>()
-            + self.arrivals.capacity() * size_of::<SimTime>()
             + self.open.capacity() * size_of::<Vec<Visit>>()
             + self
                 .open

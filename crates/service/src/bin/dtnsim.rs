@@ -120,7 +120,7 @@ use dtn_experiments::{
     FederationStats, Mobility, PointOutcome, ReplicationPlan, Reporter, RunManifest, RunOutcome,
     ShardStat, SweepConfig, SweepReport, TraceCache, Traces, Verbosity,
 };
-use dtn_mobility::{read_trace_file, ContactTrace, TraceSummary};
+use dtn_mobility::{read_trace_file, LazyTrace, TraceSummary};
 use dtn_service::httpd::{self, ConnectTarget};
 use dtn_service::{Client, ResilientClient, RetryPolicy};
 use dtn_sim::{Histogram, SimDuration, SimRng, Threads, Watchdog};
@@ -133,7 +133,7 @@ use std::time::Instant;
 /// once and shared by every replication.
 enum Source {
     Builtin(Mobility),
-    File(std::path::PathBuf, Arc<ContactTrace>),
+    File(std::path::PathBuf, Arc<LazyTrace>),
 }
 
 impl Source {
@@ -172,6 +172,7 @@ fn parse_mobility(spec: &str) -> Result<Source, String> {
             let path = std::path::PathBuf::from(spec);
             if path.exists() {
                 let trace = read_trace_file(&path).map_err(|e| format!("loading {spec}: {e}"))?;
+                let trace = LazyTrace::complete(Arc::new(trace));
                 Ok(Source::File(path, Arc::new(trace)))
             } else {
                 Err(format!("{parse_err}, or a trace file path"))

@@ -11,7 +11,7 @@
 
 use dtn_epidemic::{protocols, NullProbe, SimConfig};
 use dtn_experiments::{ReplicationPlan, Traces};
-use dtn_mobility::{read_trace_file, write_trace, HaggleParams};
+use dtn_mobility::{read_trace_file, write_trace, HaggleParams, LazyTrace};
 use dtn_sim::{SimRng, Threads, Watchdog, Welford};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -32,7 +32,7 @@ fn main() {
     };
 
     let trace = match read_trace_file(&path) {
-        Ok(t) => Arc::new(t),
+        Ok(t) => t,
         Err(e) => {
             eprintln!("trace_replay: cannot load {}: {e}", path.display());
             std::process::exit(1);
@@ -45,6 +45,8 @@ fn main() {
         trace.len(),
         trace.horizon()
     );
+
+    let trace = Arc::new(LazyTrace::complete(Arc::new(trace)));
 
     // The paper's workload at a middling load, averaged over random
     // source/destination pairs.
