@@ -32,8 +32,8 @@
 //! a panic that the sweep layer's `catch_unwind` isolation turns into a
 //! recorded point failure) or is appended to a bounded in-memory report
 //! ([`AuditMode::Record`]) that the experiment harness surfaces in
-//! `SweepReport`. Compose the auditor with any other sink via
-//! [`FanoutProbe`](crate::probe::FanoutProbe).
+//! `SweepReport`. Compose the auditor with any other sink by pairing
+//! them: `(A, B)` is itself a [`Probe`](crate::probe::Probe).
 
 use crate::bundle::Workload;
 use crate::metrics::DropReason;

@@ -86,8 +86,8 @@ pub use policy::{
     TransmitPolicy,
 };
 pub use probe::{
-    replay_jsonl, replay_metrics, CountingProbe, Event, FanoutProbe, JsonlProbe, MemoryProbe,
-    NullProbe, Probe, SeriesSample, TimeSeriesProbe,
+    replay_jsonl, replay_metrics, CountingProbe, Event, JsonlProbe, MemoryProbe, NullProbe, Probe,
+    SeriesSample, TimeSeriesProbe,
 };
 pub use session::{SessionScratch, SimConfig};
 pub use simulation::{simulate, simulate_probed, simulate_stream, simulate_stream_probed};

@@ -590,47 +590,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     }
 }
 
-/// A named two-way fan-out: feeds every event to both `A` and `B`.
-///
-/// Identical in behavior to the tuple impl above, but a named type reads
-/// better in signatures (`FanoutProbe<AuditProbe, JsonlProbe>`) and can
-/// be returned from constructors. `ENABLED` is the OR of the parts and
-/// each part keeps its own guard, so fanning out to [`NullProbe`] still
-/// compiles to nothing for that arm.
-#[derive(Clone, Debug, Default)]
-pub struct FanoutProbe<A, B> {
-    /// The first sink.
-    pub first: A,
-    /// The second sink.
-    pub second: B,
-}
-
-impl<A: Probe, B: Probe> FanoutProbe<A, B> {
-    /// Pair two sinks.
-    pub fn new(first: A, second: B) -> FanoutProbe<A, B> {
-        FanoutProbe { first, second }
-    }
-
-    /// Split the fan-out back into its parts.
-    pub fn into_parts(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A: Probe, B: Probe> Probe for FanoutProbe<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    #[inline]
-    fn record(&mut self, event: &Event) {
-        if A::ENABLED {
-            self.first.record(event);
-        }
-        if B::ENABLED {
-            self.second.record(event);
-        }
-    }
-}
-
 /// One sample of the time-series telemetry curves.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SeriesSample {

@@ -185,6 +185,29 @@ pub(crate) fn runs_to_json(outcomes: &[RunOutcome]) -> String {
     runs
 }
 
+/// Audit violations as the JSON array a checkpoint line or wire fragment
+/// carries.
+pub(crate) fn violations_to_json(violations: &[String]) -> String {
+    let quoted: Vec<String> = violations
+        .iter()
+        .map(|v| format!("\"{}\"", escape(v)))
+        .collect();
+    format!("[{}]", quoted.join(","))
+}
+
+/// Decode a [`violations_to_json`] array.
+pub(crate) fn violations_from_value(list: &Value) -> Result<Vec<String>, String> {
+    list.as_array()
+        .ok_or("\"violations\" is not an array")?
+        .iter()
+        .map(|v| {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("violation {v:?} is not a string"))
+        })
+        .collect()
+}
+
 /// Decode the `attempts` and `runs` arrays of a checkpoint line or wire
 /// fragment: one attempt count per outcome, in replication order.
 pub(crate) fn runs_from_value(doc: &Value) -> Result<(Vec<RunOutcome>, Vec<u32>), String> {
@@ -463,17 +486,12 @@ impl PointOutcome {
     /// outcome bit-identically.
     pub fn to_wire_json(&self) -> String {
         let attempts: Vec<String> = self.attempts.iter().map(|a| a.to_string()).collect();
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", escape(v)))
-            .collect();
         format!(
-            "{{\"attempts\":[{}],\"slow\":{},\"runs\":[{}],\"violations\":[{}]}}",
+            "{{\"attempts\":[{}],\"slow\":{},\"runs\":[{}],\"violations\":{}}}",
             attempts.join(","),
             self.slow,
             runs_to_json(&self.outcomes),
-            violations.join(",")
+            violations_to_json(&self.violations)
         )
     }
 
@@ -487,17 +505,11 @@ impl PointOutcome {
             .and_then(Value::as_u64)
             .and_then(|n| usize::try_from(n).ok())
             .ok_or("bad point outcome: bad slow count")?;
-        let violations = doc
+        let list = doc
             .get("violations")
-            .and_then(Value::as_array)
-            .ok_or("bad point outcome: missing \"violations\" array")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("bad point outcome: violation {v:?} is not a string"))
-            })
-            .collect::<Result<_, _>>()?;
+            .ok_or("bad point outcome: missing \"violations\" array")?;
+        let violations =
+            violations_from_value(list).map_err(|e| format!("bad point outcome: {e}"))?;
         Ok(PointOutcome {
             outcomes,
             attempts,

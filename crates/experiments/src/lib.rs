@@ -49,8 +49,8 @@ pub use figures::{all_figures, Metric};
 pub use jobs::{PointJob, PointOutcome};
 pub use output::{ensure_dir, Figure, Series, TextTable};
 pub use report::{
-    current_rss_bytes, git_rev, peak_rss_bytes, unix_time_secs, FederationStats, NamedHistogram,
-    PointReport, PointTiming, RunManifest, ShardStat, SweepReport, SweepTiming,
+    git_rev, peak_rss_bytes, unix_time_secs, FederationStats, NamedHistogram, PointReport,
+    PointTiming, RunManifest, ShardStat, SweepReport, SweepTiming,
 };
 pub use reporter::{Reporter, Verbosity};
 pub use robustness::{

@@ -26,19 +26,8 @@ use std::path::Path;
 /// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`);
 /// `None` off Linux.
 pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmHWM:")
-}
-
-/// Current resident set size in bytes (`VmRSS` from `/proc/self/status`);
-/// `None` off Linux. Unlike [`peak_rss_bytes`] this goes *down* when
-/// memory is released, which is what a live budget guard needs.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS:")
-}
-
-fn proc_status_bytes(key: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(key))?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
 }
@@ -289,9 +278,6 @@ pub struct SweepReport {
     pub trace_cache_misses: u64,
     /// Peak resident set size in bytes (Linux; `None` elsewhere).
     pub peak_rss_bytes: Option<u64>,
-    /// Times the memory-budget guard shed the trace cache and degraded
-    /// to cache-cold operation (0 when no budget was set or never hit).
-    pub memory_degradations: u64,
     /// Invariant violations reported by audited runs, capped at
     /// [`SweepReport::MAX_VIOLATIONS`] entries; [`total_violations`]
     /// keeps the true count.
@@ -456,11 +442,6 @@ impl SweepReport {
             out,
             "  \"peak_rss_bytes\": {},",
             json_opt_u64(self.peak_rss_bytes)
-        );
-        let _ = writeln!(
-            out,
-            "  \"memory_degradations\": {},",
-            self.memory_degradations
         );
         let _ = writeln!(
             out,

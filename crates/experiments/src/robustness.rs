@@ -24,7 +24,10 @@
 //! the very same jobs to a `dtnsimd` daemon and reassembles the report
 //! with [`assemble_grid_report`] — canonically identical either way.
 
-use crate::jobs::{runs_from_value, runs_to_json, PointJob, PointOutcome};
+use crate::jobs::{
+    runs_from_value, runs_to_json, violations_from_value, violations_to_json, PointJob,
+    PointOutcome,
+};
 use crate::runner::SweepConfig;
 use crate::scenarios::Mobility;
 use crate::{Reporter, SweepReport, TraceCache};
@@ -163,26 +166,33 @@ pub fn grid_point_jobs(mobility: Mobility, cfg: &SweepConfig) -> Result<Vec<Grid
 }
 
 /// One finished point as a checkpoint line (no trailing newline): the
-/// key, the per-replication attempt counts, then the outcome tokens.
-/// Public (but hidden) for the decoder fuzz tests.
+/// key, the per-replication attempt counts, the outcome tokens, then
+/// the audit violations when there are any. Public (but hidden) for the
+/// decoder fuzz tests.
 #[doc(hidden)]
-pub fn point_to_line(key: &str, outcomes: &[RunOutcome], attempts: &[u32]) -> String {
-    let attempts: Vec<String> = attempts.iter().map(|a| a.to_string()).collect();
-    format!(
-        "{{\"point\":\"{}\",\"attempts\":[{}],\"runs\":[{}]}}",
+pub fn point_to_line(key: &str, point: &PointOutcome) -> String {
+    let attempts: Vec<String> = point.attempts.iter().map(|a| a.to_string()).collect();
+    let mut line = format!(
+        "{{\"point\":\"{}\",\"attempts\":[{}],\"runs\":[{}]",
         escape(key),
         attempts.join(","),
-        runs_to_json(outcomes)
-    )
+        runs_to_json(&point.outcomes)
+    );
+    if !point.violations.is_empty() {
+        line.push_str(",\"violations\":");
+        line.push_str(&violations_to_json(&point.violations));
+    }
+    line.push('}');
+    line
 }
 
-type PointLine = (String, Vec<RunOutcome>, Vec<u32>);
-/// Finished points keyed by checkpoint key: (outcomes, attempt counts).
-type DoneMap = HashMap<String, (Vec<RunOutcome>, Vec<u32>)>;
+/// Finished points keyed by checkpoint key.
+type DoneMap = HashMap<String, PointOutcome>;
 
-/// Decode a [`point_to_line`] line: (key, outcomes, attempt counts).
+/// Decode a [`point_to_line`] line into its key and point (`slow` is
+/// not checkpointed and reads 0).
 #[doc(hidden)]
-pub fn point_from_line(line: &str) -> Result<PointLine, String> {
+pub fn point_from_line(line: &str) -> Result<(String, PointOutcome), String> {
     let bad = |e: String| format!("bad checkpoint line: {e}");
     let doc = Value::parse(line).map_err(bad)?;
     let key = doc
@@ -191,7 +201,21 @@ pub fn point_from_line(line: &str) -> Result<PointLine, String> {
         .ok_or_else(|| bad("missing \"point\" key".into()))?;
     let (outcomes, attempts) =
         runs_from_value(&doc).map_err(|e| bad(format!("point {key:?}: {e}")))?;
-    Ok((key.to_string(), outcomes, attempts))
+    let violations = match doc.get("violations") {
+        None => Vec::new(),
+        Some(list) => {
+            violations_from_value(list).map_err(|e| bad(format!("point {key:?}: {e}")))?
+        }
+    };
+    Ok((
+        key.to_string(),
+        PointOutcome {
+            outcomes,
+            attempts,
+            violations,
+            slow: 0,
+        },
+    ))
 }
 
 /// The manifest (first) line of a checkpoint file. The watchdog
@@ -232,15 +256,15 @@ fn load_checkpoint(path: &Path, mobility: Mobility, cfg: &SweepConfig) -> Result
     }
     let mut done = HashMap::new();
     for line in lines {
-        let (key, outcomes, attempts) = point_from_line(line)?;
-        if outcomes.len() != cfg.replications {
+        let (key, point) = point_from_line(line)?;
+        if point.outcomes.len() != cfg.replications {
             return Err(format!(
                 "checkpoint point {key:?} has {} outcomes, expected {}",
-                outcomes.len(),
+                point.outcomes.len(),
                 cfg.replications
             ));
         }
-        done.insert(key, (outcomes, attempts));
+        done.insert(key, point);
     }
     Ok(done)
 }
@@ -320,9 +344,7 @@ pub fn run_robustness(
     };
 
     let started = std::time::Instant::now();
-    let mut cache = TraceCache::new();
-    // Hit/miss counters accumulated across memory-guard cache sheds.
-    let mut cache_base = (0u64, 0u64);
+    let cache = TraceCache::new();
     let mut report = SweepReport::new(grid_workload(mobility, cfg));
 
     let mut cell_started = std::time::Instant::now();
@@ -332,8 +354,8 @@ pub fn run_robustness(
         // point was replayed from a checkpoint): trace preparation vs
         // protocol loop vs report assembly.
         let mut phase_secs = None;
-        let (outcomes, attempts, violations) = match done.remove(key) {
-            Some((outcomes, attempts)) => (outcomes, attempts, Vec::new()),
+        let out = match done.remove(key) {
+            Some(out) => out,
             None => {
                 // Start every replication's trace first (the job's own
                 // lookups then all hit), so the trace phase times the
@@ -364,21 +386,16 @@ pub fn run_robustness(
                     ));
                 }
                 if let Some(f) = ckpt_file.as_mut() {
-                    writeln!(f, "{}", point_to_line(key, &out.outcomes, &out.attempts))
+                    writeln!(f, "{}", point_to_line(key, &out))
                         .and_then(|()| f.flush())
                         .map_err(|e| format!("checkpoint write failed: {e}"))?;
                 }
-                let violations = out
-                    .violations
-                    .iter()
-                    .map(|v| format!("{key} {v}"))
-                    .collect();
-                (out.outcomes, out.attempts, violations)
+                out
             }
         };
         let assemble_started = std::time::Instant::now();
-        for v in violations {
-            report.record_violation(v);
+        for v in &out.violations {
+            report.record_violation(format!("{key} {v}"));
         }
         let mobility_label = format!("{}/{}", mobility.label(), gp.cell_label);
         record_supervised_point(
@@ -386,8 +403,8 @@ pub fn run_robustness(
             gp.protocol_name,
             &mobility_label,
             gp.load,
-            &outcomes,
-            &attempts,
+            &out.outcomes,
+            &out.attempts,
         );
         if let Some((trace_secs, sim_secs)) = phase_secs {
             report.record_point_timing(crate::report::PointTiming {
@@ -395,20 +412,6 @@ pub fn run_robustness(
                 sim_secs,
                 assemble_secs: assemble_started.elapsed().as_secs_f64(),
             });
-        }
-        if let Some(budget) = cfg.memory_budget_bytes {
-            let over = crate::report::current_rss_bytes().is_some_and(|rss| rss > budget);
-            if over {
-                let (hits, misses) = cache.stats();
-                cache_base.0 += hits;
-                cache_base.1 += misses;
-                cache = TraceCache::new();
-                report.memory_degradations += 1;
-                log.info(format!(
-                    "memory budget exceeded after {key}; trace cache shed, \
-                     continuing cache-cold (checkpoint already flushed)"
-                ));
-            }
         }
         let cell_done = points
             .get(i + 1)
@@ -423,8 +426,7 @@ pub fn run_robustness(
         }
     }
 
-    let (hits, misses) = cache.stats();
-    report.record_cache((cache_base.0 + hits, cache_base.1 + misses));
+    report.record_cache(cache.stats());
     report.finish(started.elapsed().as_secs_f64());
     Ok(report)
 }
@@ -568,12 +570,17 @@ mod tests {
             RunOutcome::Ok(m(5)),
             RunOutcome::Panicked("unexpected ']' in input".to_string()),
         ];
-        let attempts = vec![1, 3, 2, 1, 2];
-        let line = point_to_line("cell|Proto|25", &outcomes, &attempts);
-        let (key, back, back_attempts) = point_from_line(&line).unwrap();
-        assert_eq!(key, "cell|Proto|25");
-        assert_eq!(back, outcomes);
-        assert_eq!(back_attempts, attempts);
+        let point = PointOutcome {
+            outcomes,
+            attempts: vec![1, 3, 2, 1, 2],
+            violations: vec!["rep 1: \"quoted\" ] violation".to_string()],
+            slow: 0,
+        };
+        let line = point_to_line("cell|Proto|25", &point);
+        assert_eq!(
+            point_from_line(&line).unwrap(),
+            ("cell|Proto|25".to_string(), point)
+        );
     }
 
     #[test]
@@ -582,6 +589,8 @@ mod tests {
             "{\"point\":\"k\",\"attempts\":[],\"runs\":[]]}",
             "{\"point\":\"k\",\"attempts\":[1],\"runs\":[}]}",
             "{\"point\":\"k\",\"attempts\":[1],\"runs\":[{\"panic\":\"x]}",
+            "{\"point\":\"k\",\"attempts\":[],\"runs\":[],\"violations\":[1]}",
+            "{\"point\":\"k\",\"attempts\":[],\"runs\":[],\"violations\":\"v\"}",
         ] {
             assert!(point_from_line(line).is_err(), "{line} parsed");
         }
@@ -591,7 +600,13 @@ mod tests {
             delivered: 5,
             ..m(4)
         };
-        let line = point_to_line("k", &[RunOutcome::Ok(metrics)], &[1]);
+        let point = PointOutcome {
+            outcomes: vec![RunOutcome::Ok(metrics)],
+            attempts: vec![1],
+            violations: Vec::new(),
+            slow: 0,
+        };
+        let line = point_to_line("k", &point);
         for (field, narrowed) in [("total_bundles", "[5,"), ("delivered", ",5,\"")] {
             let widened = narrowed.replace('5', "4294967301");
             let bad = line.replacen(narrowed, &widened, 1);
@@ -622,44 +637,15 @@ mod tests {
         );
         let mut seen = Vec::new();
         for line in lines {
-            let (key, outcomes, attempts) = point_from_line(line).unwrap();
-            assert_eq!(point_to_line(&key, &outcomes, &attempts), line);
-            seen.extend(outcomes);
+            let (key, point) = point_from_line(line).unwrap();
+            assert_eq!(point_to_line(&key, &point), line);
+            seen.extend(point.outcomes);
         }
         assert_eq!(seen.len(), 8);
         assert!(seen.contains(&RunOutcome::TimedOut));
         assert!(seen.contains(&RunOutcome::Panicked(
             "injected \"quote\" \\ backslash ] bracket } brace\nsecond line".into()
         )));
-    }
-
-    #[test]
-    fn memory_guard_degrades_without_changing_results() {
-        let cfg = SweepConfig {
-            loads: vec![5],
-            replications: 1,
-            threads: Threads::Sequential,
-            ..SweepConfig::default()
-        };
-        let mut tight = cfg.clone();
-        tight.memory_budget_bytes = Some(1); // any live process is over this
-        let log = Reporter::new(crate::Verbosity::Quiet);
-        let clean =
-            run_robustness(Mobility::Interval(2000), &cfg, None, false, &log, None).unwrap();
-        let degraded =
-            run_robustness(Mobility::Interval(2000), &tight, None, false, &log, None).unwrap();
-        assert!(degraded.memory_degradations > 0, "guard never fired");
-        assert_eq!(clean.points.len(), degraded.points.len());
-        for (a, b) in clean.points.iter().zip(&degraded.points) {
-            assert_eq!(
-                a.delivery_ratio_mean.to_bits(),
-                b.delivery_ratio_mean.to_bits(),
-                "cache shedding must not change results"
-            );
-            assert_eq!(a.failures, b.failures);
-        }
-        // Shedding the cache costs extra trace builds, never correctness.
-        assert!(degraded.trace_cache_misses >= clean.trace_cache_misses);
     }
 
     #[test]
@@ -766,6 +752,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(resumed2.points.len(), fresh.points.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumed_points_keep_their_checkpointed_violations() {
+        let cfg = SweepConfig {
+            loads: vec![5],
+            replications: 1,
+            threads: Threads::Sequential,
+            ..SweepConfig::default()
+        };
+        let log = Reporter::new(crate::Verbosity::Quiet);
+        let dir = std::env::temp_dir().join(format!("robustness_ckpt_viol_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("grid.ckpt");
+        let mobility = Mobility::Interval(2000);
+        run_robustness(mobility, &cfg, Some(&ckpt), false, &log, None).unwrap();
+        // An audited run whose first point found a violation leaves it
+        // on that point's line, after the runs.
+        let text = std::fs::read_to_string(&ckpt).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let first = lines[1].strip_suffix('}').unwrap().to_string();
+        lines[1] = format!("{first},\"violations\":[\"rep 0: injected\"]}}");
+        std::fs::write(&ckpt, lines.join("\n") + "\n").unwrap();
+
+        let resumed = run_robustness(mobility, &cfg, Some(&ckpt), true, &log, None).unwrap();
+        let key = &grid_point_jobs(mobility, &cfg).unwrap()[0].key;
+        assert_eq!(resumed.violations, vec![format!("{key} rep 0: injected")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

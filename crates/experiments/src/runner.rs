@@ -60,11 +60,6 @@ pub struct SweepConfig {
     /// perturb the simulation, so audited metrics are bit-identical to
     /// un-audited ones.
     pub audit: bool,
-    /// Resident-set budget in bytes. When a finished point leaves the
-    /// process above this budget the sweep sheds its trace cache
-    /// (checkpoints are already flushed per point) and continues in
-    /// degraded, cache-cold mode. `None` disables the guard.
-    pub memory_budget_bytes: Option<u64>,
     /// Log a reporter line when one point's simulation phase exceeds
     /// this many wall seconds (`None` disables the check). Purely
     /// observational — never perturbs results or the job identity.
@@ -84,7 +79,6 @@ impl Default for SweepConfig {
             retries: 0,
             point_timeout_secs: None,
             audit: false,
-            memory_budget_bytes: None,
             slow_point_secs: None,
         }
     }

@@ -51,13 +51,14 @@
 //!   --retry-deadline SECS
 //!                      total wall-clock budget for backpressure retries
 //!                      and reconnect healing (default: none)
-//!   --daemon-stats     print the daemon's operational stats as a stable,
-//!                      documented JSON document and exit (requires
-//!                      --connect; see `render_daemon_stats` for the
-//!                      shape). With --canonical, load-dependent values
-//!                      (queue depth, running count, uptime, utilization,
-//!                      latency snapshots) are masked to fixed values so
-//!                      two equally-loaded daemons compare byte-identical
+//!   --daemon-stats     print the daemon's (or coordinator's) `stats`
+//!                      reply as JSON, one member per line in reply order,
+//!                      and exit (requires --connect). With --canonical,
+//!                      the members that follow wall time or load (queue
+//!                      depth, uptime, utilization, latency snapshots,
+//!                      probe counts, …; `VOLATILE_STATS`) are masked, so
+//!                      two daemons that served the same work compare
+//!                      byte-identical
 //!   --daemon-shutdown  ask the daemon to drain, persist its cache, and
 //!                      exit (requires --connect)
 //!
@@ -110,87 +111,35 @@
 //! ```
 
 use dtn_epidemic::{
-    protocols, ChurnMode, ChurnPlan, FanoutProbe, FaultPlan, GilbertElliott, JsonlProbe, NullProbe,
+    protocols, ChurnMode, ChurnPlan, FaultPlan, GilbertElliott, JsonlProbe, NullProbe,
     ProtocolConfig, RunMetrics, SimConfig, TimeSeriesProbe,
 };
 use dtn_experiments::jobs::PointJob;
 use dtn_experiments::runner::aggregate_point;
 use dtn_experiments::{
-    assemble_grid_report, grid_point_jobs, record_supervised_point, run_robustness,
-    FederationStats, Mobility, PointOutcome, ReplicationPlan, Reporter, RunManifest, RunOutcome,
-    ShardStat, SweepConfig, SweepReport, TraceCache, Traces, Verbosity,
+    grid_point_jobs, record_supervised_point, run_robustness, Mobility, PointOutcome,
+    ReplicationPlan, Reporter, RunManifest, RunOutcome, SweepConfig, SweepReport, TraceCache,
+    Traces, Verbosity,
 };
 use dtn_mobility::{read_trace_file, LazyTrace, TraceSummary};
-use dtn_service::httpd::{self, ConnectTarget};
-use dtn_service::{Client, ResilientClient, RetryPolicy};
+use dtn_service::httpd::{self, ConnectTarget, SweepSpec};
+use dtn_service::{stats_document, Client, HealStats, ResilientClient, RetryPolicy};
 use dtn_sim::{Histogram, SimDuration, SimRng, Threads, Watchdog};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Where contacts come from: a built-in scenario or a trace file, loaded
-/// once and shared by every replication.
-enum Source {
-    Builtin(Mobility),
-    File(std::path::PathBuf, Arc<LazyTrace>),
-}
-
-impl Source {
-    /// The run's trace source: built-in scenarios are generated per
-    /// replication through `cache`; a file trace is handed out as is.
-    fn traces(&self, seed: u64, cache: &TraceCache) -> Traces {
-        match self {
-            Source::Builtin(mobility) => Traces::Scenario {
-                mobility: *mobility,
-                seed,
-                cache: cache.clone(),
-            },
-            Source::File(_, trace) => Traces::Fixed(Arc::clone(trace)),
-        }
-    }
-
-    fn default_tx_time(&self) -> u64 {
-        match self {
-            Source::Builtin(m) => m.tx_time_secs(),
-            Source::File(..) => 100,
-        }
-    }
-
-    fn label(&self) -> String {
-        match self {
-            Source::Builtin(m) => m.label(),
-            Source::File(path, _) => path.display().to_string(),
-        }
-    }
-}
-
-fn parse_mobility(spec: &str) -> Result<Source, String> {
-    match Mobility::parse(spec) {
-        Ok(m) => Ok(Source::Builtin(m)),
-        Err(parse_err) => {
-            let path = std::path::PathBuf::from(spec);
-            if path.exists() {
-                let trace = read_trace_file(&path).map_err(|e| format!("loading {spec}: {e}"))?;
-                let trace = LazyTrace::complete(Arc::new(trace));
-                Ok(Source::File(path, Arc::new(trace)))
-            } else {
-                Err(format!("{parse_err}, or a trace file path"))
-            }
-        }
-    }
-}
-
 struct Args {
     protocol: ProtocolConfig,
     /// The raw `--protocol` spec — the job identity sent to a daemon.
     protocol_spec: String,
-    source: Source,
-    load: u32,
-    reps: usize,
-    seed: u64,
-    buffer: usize,
-    tx_time: Option<u64>,
+    /// Scenario, load, replications, seed, buffer, tx time and
+    /// supervision: the gateway's sweep spec, with its defaults.
+    spec: SweepSpec,
+    /// A trace file named by `--mobility`, loaded once and shared by
+    /// every replication; it replaces `spec.mobility`.
+    trace_file: Option<(std::path::PathBuf, Arc<LazyTrace>)>,
     stats: bool,
     trace_out: Option<std::path::PathBuf>,
     series_out: Option<std::path::PathBuf>,
@@ -200,9 +149,6 @@ struct Args {
     robustness: bool,
     checkpoint: Option<std::path::PathBuf>,
     resume: bool,
-    audit: bool,
-    retries: u32,
-    point_timeout: Option<u64>,
     connect: Option<String>,
     canonical: bool,
     daemon_stats: bool,
@@ -210,6 +156,55 @@ struct Args {
     slow_point_secs: Option<f64>,
     max_retries: Option<u32>,
     retry_deadline_secs: Option<f64>,
+}
+
+impl Args {
+    /// `--mobility`: a built-in scenario, or else a trace file path.
+    fn set_mobility(&mut self, spec: &str) -> Result<(), String> {
+        self.trace_file = None;
+        match Mobility::parse(spec) {
+            Ok(m) => self.spec.mobility = m,
+            Err(parse_err) => {
+                let path = std::path::PathBuf::from(spec);
+                if !path.exists() {
+                    return Err(format!("{parse_err}, or a trace file path"));
+                }
+                let trace = read_trace_file(&path).map_err(|e| format!("loading {spec}: {e}"))?;
+                let trace = LazyTrace::complete(Arc::new(trace));
+                self.trace_file = Some((path, Arc::new(trace)));
+            }
+        }
+        Ok(())
+    }
+
+    /// The run's trace source: built-in scenarios are generated per
+    /// replication through `cache`; a file trace is handed out as is.
+    fn traces(&self, cache: &TraceCache) -> Traces {
+        match &self.trace_file {
+            Some((_, trace)) => Traces::Fixed(Arc::clone(trace)),
+            None => Traces::Scenario {
+                mobility: self.spec.mobility,
+                seed: self.spec.seed,
+                cache: cache.clone(),
+            },
+        }
+    }
+
+    /// `--tx-time`, else the scenario's regime (100 s for a trace file).
+    fn tx_time(&self) -> u64 {
+        let default = match self.trace_file {
+            Some(_) => 100,
+            None => self.spec.mobility.tx_time_secs(),
+        };
+        self.spec.tx_time.unwrap_or(default)
+    }
+
+    fn label(&self) -> String {
+        match &self.trace_file {
+            Some((path, _)) => path.display().to_string(),
+            None => self.spec.mobility.label(),
+        }
+    }
 }
 
 /// Parse `--burst G,B,GB,BG` into a Gilbert–Elliott channel.
@@ -264,12 +259,8 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         protocol: protocols::pure_epidemic(),
         protocol_spec: "pure".to_string(),
-        source: Source::Builtin(Mobility::Trace),
-        load: 25,
-        reps: 10,
-        seed: 1,
-        buffer: 10,
-        tx_time: None,
+        spec: SweepSpec::new(Mobility::Trace),
+        trace_file: None,
         stats: false,
         trace_out: None,
         series_out: None,
@@ -279,9 +270,6 @@ fn parse_args() -> Result<Args, String> {
         robustness: false,
         checkpoint: None,
         resume: false,
-        audit: false,
-        retries: 0,
-        point_timeout: None,
         connect: None,
         canonical: false,
         daemon_stats: false,
@@ -299,29 +287,29 @@ fn parse_args() -> Result<Args, String> {
                 args.protocol = protocols::from_spec(&args.protocol_spec)?;
             }
             "--list-protocols" => list_protocols(),
-            "--mobility" => args.source = parse_mobility(&value("--mobility")?)?,
+            "--mobility" => args.set_mobility(&value("--mobility")?)?,
             "--load" => {
-                args.load = value("--load")?
+                args.spec.load = value("--load")?
                     .parse()
                     .map_err(|e| format!("bad load: {e}"))?
             }
             "--reps" => {
-                args.reps = value("--reps")?
+                args.spec.reps = value("--reps")?
                     .parse()
                     .map_err(|e| format!("bad reps: {e}"))?
             }
             "--seed" => {
-                args.seed = value("--seed")?
+                args.spec.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?
             }
             "--buffer" => {
-                args.buffer = value("--buffer")?
+                args.spec.buffer = value("--buffer")?
                     .parse()
                     .map_err(|e| format!("bad buffer: {e}"))?
             }
             "--tx-time" => {
-                args.tx_time = Some(
+                args.spec.tx_time = Some(
                     value("--tx-time")?
                         .parse()
                         .map_err(|e| format!("bad tx-time: {e}"))?,
@@ -350,14 +338,14 @@ fn parse_args() -> Result<Args, String> {
             "--robustness" => args.robustness = true,
             "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?.into()),
             "--resume" => args.resume = true,
-            "--audit" => args.audit = true,
+            "--audit" => args.spec.audit = true,
             "--retries" => {
-                args.retries = value("--retries")?
+                args.spec.retries = value("--retries")?
                     .parse()
                     .map_err(|e| format!("bad retries: {e}"))?
             }
             "--point-timeout" => {
-                args.point_timeout = Some(
+                args.spec.point_timeout = Some(
                     value("--point-timeout")?
                         .parse()
                         .map_err(|e| format!("bad point-timeout: {e}"))?,
@@ -410,19 +398,19 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.load == 0 || args.reps == 0 || args.buffer == 0 {
-        return Err("load, reps and buffer must be positive".into());
-    }
+    args.spec.validate()?;
     dtn_epidemic::validate_probability("transfer_loss_prob", args.loss)?;
     args.faults.validate()?;
     if args.resume && args.checkpoint.is_none() {
         return Err("--resume requires --checkpoint PATH".into());
     }
-    if args.point_timeout == Some(0) {
-        return Err("--point-timeout must be at least 1 second".into());
-    }
     if (args.daemon_stats || args.daemon_shutdown) && args.connect.is_none() {
         return Err("--daemon-stats/--daemon-shutdown require --connect HOST:PORT".into());
+    }
+    if args.trace_file.is_some() && (args.robustness || args.connect.is_some()) {
+        return Err("--robustness and --connect need a built-in mobility \
+                    (trace, rwp, geom-rwp, interval=SECS); a daemon cannot see local trace files"
+            .into());
     }
     if args.connect.is_some() {
         if args.stats || args.trace_out.is_some() || args.series_out.is_some() {
@@ -449,272 +437,14 @@ fn print_report(report: &SweepReport, canonical: bool) {
     }
 }
 
-/// Re-render a daemon `stats` reply as the stable, documented
-/// `--daemon-stats` document: one JSON object, one key per line, in the
-/// fixed order below regardless of daemon version. Numbers are copied
-/// verbatim from the reply (u64 counters survive losslessly); keys a
-/// (newer or older) daemon does not send render as `0` / `null` rather
-/// than failing, so the shape itself never varies.
-///
-/// ```text
-/// {
-///   "type": "daemon_stats",       constant
-///   "engine": "...",              daemon's engine version string
-///   "workers": N,                 worker-pool size (configuration)
-///   "queue_capacity": N,          bounded-queue size (configuration)
-///   "queue_depth": N,             jobs queued right now        [volatile]
-///   "running": N,                 jobs running right now       [volatile]
-///   "submitted": N,               admitted jobs, lifetime
-///   "completed": N,               finished jobs, lifetime
-///   "failed": N,                  failed jobs (errors + panics)
-///   "failed_errors": N,           ... of which job-level errors
-///   "failed_panics": N,           ... of which worker-caught panics
-///   "cancelled": N,               jobs cancelled while queued
-///   "rejected": N,                rejected submits (all reasons)
-///   "rejected_queue_full": N,     ... of which queue-full sheds
-///   "rejected_shutdown": N,       ... of which during drain
-///   "replication_panics": N,      panicking replications inside jobs
-///   "replication_timeouts": N,    timed-out replications inside jobs
-///   "bad_frames": N,              frames rejected by length/CRC checks
-///   "shed_queue_deadline": N,     jobs shed past the queue-wait deadline
-///   "journal_salvaged": N,        journal records recovered at startup
-///   "journal_discarded": N,       journal records lost to damage
-///   "stale_tmp_removed": N,       orphaned .tmp files cleaned at startup
-///   "journal_flushes": N,         journal flushes so far        [volatile]
-///   "cache_hits": N,              result-cache hits, lifetime
-///   "cache_misses": N,            result-cache misses, lifetime
-///   "cache_entries": N,           result-cache size now
-///   "cache_expired": N,           janitor TTL expiries         [volatile]
-///   "cache_evictions": N,         janitor LRU evictions        [volatile]
-///   "cache_bytes": N,             resident result bytes now    [volatile]
-///   "uptime_secs": F,                                          [volatile]
-///   "worker_busy_secs": F,                                     [volatile]
-///   "worker_utilization": F,      busy / (uptime x workers)    [volatile]
-///   "latency": {...} | null       per-phase histogram snapshots [volatile]
-/// }
-/// ```
-///
-/// With `canonical`, the `[volatile]` fields are masked (numbers to `0`,
-/// `latency` to `null`) so two daemons that served the same jobs print
-/// byte-identical documents — the form the service tests compare.
-fn render_daemon_stats(raw: &str, canonical: bool) -> Result<String, String> {
-    use dtn_service::json::Value;
-    let v = Value::parse(raw).map_err(|e| format!("unparseable stats reply: {e}"))?;
-    if v.get("type").and_then(Value::as_str) != Some("stats") {
-        return Err(format!("unexpected stats reply: {raw}"));
-    }
-    let num = |key: &str| match v.get(key) {
-        Some(Value::Num(n)) => n.clone(),
-        _ => "0".to_string(),
-    };
-    let volatile_num = |key: &str| {
-        if canonical {
-            "0".to_string()
-        } else {
-            num(key)
-        }
-    };
-    // Snapshot sub-objects re-render in fixed key order too (the daemon
-    // sends them ordered, but the parser's maps do not preserve it).
-    let snapshot = |snap: Option<&Value>| -> String {
-        let Some(snap) = snap else {
-            return "null".to_string();
-        };
-        let field = |key: &str| match snap.get(key) {
-            Some(Value::Num(n)) => n.clone(),
-            _ => "0".to_string(),
-        };
-        format!(
-            "{{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-            field("count"),
-            field("sum"),
-            field("mean"),
-            field("p50"),
-            field("p90"),
-            field("p99"),
-        )
-    };
-    let latency = match v.get("latency") {
-        Some(lat) if !canonical => {
-            let phases = [
-                "frame_decode",
-                "request",
-                "queue_wait",
-                "cache_probe",
-                "sim",
-                "serialize",
-                "write",
-            ];
-            let body: Vec<String> = phases
-                .iter()
-                .map(|p| format!("    \"{p}\": {}", snapshot(lat.get(p))))
-                .collect();
-            format!("{{\n{}\n  }}", body.join(",\n"))
-        }
-        _ => "null".to_string(),
-    };
-    let engine = v.get("engine").and_then(Value::as_str).unwrap_or("unknown");
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"type\": \"daemon_stats\",\n  \"engine\": \"{}\",",
-        dtn_service::json::escape(engine)
-    );
-    for key in ["workers", "queue_capacity"] {
-        let _ = writeln!(out, "  \"{key}\": {},", num(key));
-    }
-    for key in ["queue_depth", "running"] {
-        let _ = writeln!(out, "  \"{key}\": {},", volatile_num(key));
-    }
-    for key in [
-        "submitted",
-        "completed",
-        "failed",
-        "failed_errors",
-        "failed_panics",
-        "cancelled",
-        "rejected",
-        "rejected_queue_full",
-        "rejected_shutdown",
-        "replication_panics",
-        "replication_timeouts",
-        "bad_frames",
-        "shed_queue_deadline",
-        "journal_salvaged",
-        "journal_discarded",
-        "stale_tmp_removed",
-    ] {
-        let _ = writeln!(out, "  \"{key}\": {},", num(key));
-    }
-    // Flush count is timing-dependent (the time-based window fires on
-    // its own clock), so it masks with the volatile group.
-    let _ = writeln!(
-        out,
-        "  \"journal_flushes\": {},",
-        volatile_num("journal_flushes")
-    );
-    for key in ["cache_hits", "cache_misses", "cache_entries"] {
-        let _ = writeln!(out, "  \"{key}\": {},", num(key));
-    }
-    // Janitor activity rides the cron clock, not the served work, so
-    // the eviction counters and resident-byte gauge mask as volatile.
-    for key in ["cache_expired", "cache_evictions", "cache_bytes"] {
-        let _ = writeln!(out, "  \"{key}\": {},", volatile_num(key));
-    }
-    for key in ["uptime_secs", "worker_busy_secs", "worker_utilization"] {
-        let _ = writeln!(out, "  \"{key}\": {},", volatile_num(key));
-    }
-    let _ = writeln!(out, "  \"latency\": {latency}");
-    out.push_str("}\n");
-    Ok(out)
-}
-
-/// Re-render a `dtnfedd` coordinator `stats` reply (detected by its
-/// `role:"coordinator"` member) as a stable document, mirroring
-/// [`render_daemon_stats`]: fixed key order, volatile fields masked
-/// under `canonical` so two coordinators that served the same sweep
-/// print byte-identical documents.
-fn render_coordinator_stats(raw: &str, canonical: bool) -> Result<String, String> {
-    use dtn_service::json::Value;
-    let v = Value::parse(raw).map_err(|e| format!("unparseable stats reply: {e}"))?;
-    let num = |key: &str| match v.get(key) {
-        Some(Value::Num(n)) => n.clone(),
-        _ => "0".to_string(),
-    };
-    let volatile_num = |key: &str| {
-        if canonical {
-            "0".to_string()
-        } else {
-            num(key)
-        }
-    };
-    let engine = v.get("engine").and_then(Value::as_str).unwrap_or("unknown");
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"type\": \"coordinator_stats\",\n  \"engine\": \"{}\",",
-        dtn_service::json::escape(engine)
-    );
-    for key in ["workers", "routable_workers"] {
-        let _ = writeln!(out, "  \"{key}\": {},", num(key));
-    }
-    let _ = writeln!(
-        out,
-        "  \"degraded\": {},",
-        v.get("degraded").and_then(Value::as_bool).unwrap_or(false)
-    );
-    for key in [
-        "submitted",
-        "completed",
-        "failovers",
-        "hedges",
-        "redispatches",
-        "rejected_no_workers",
-        "rejected_unreachable",
-    ] {
-        let _ = writeln!(out, "  \"{key}\": {},", num(key));
-    }
-    // Probe counts, the hedge deadline, in-flight jobs, uptime, and the
-    // relay cache (refetch traffic and janitor sweeps both ride wall
-    // clocks) all track wall time, not served work: they mask with the
-    // volatile group.
-    for key in [
-        "inflight",
-        "probes_ok",
-        "probes_failed",
-        "relay_hits",
-        "relay_misses",
-        "relay_entries",
-        "cache_expired",
-        "cache_evictions",
-        "cache_bytes",
-        "hedge_deadline_ms",
-        "uptime_secs",
-    ] {
-        let _ = writeln!(out, "  \"{key}\": {},", volatile_num(key));
-    }
-    out.push_str("  \"shards\": [");
-    let shards = v.get("shards").and_then(Value::as_array);
-    for (i, shard) in shards.into_iter().flatten().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let addr = shard.get("addr").and_then(Value::as_str).unwrap_or("?");
-        let state = shard.get("state").and_then(Value::as_str).unwrap_or("?");
-        let completed = match shard.get("completed") {
-            Some(Value::Num(n)) => n.clone(),
-            _ => "0".to_string(),
-        };
-        let _ = write!(
-            out,
-            "\n    {{\"addr\": \"{}\", \"state\": \"{}\", \"completed\": {}}}",
-            dtn_service::json::escape(addr),
-            dtn_service::json::escape(state),
-            completed,
-        );
-    }
-    out.push_str(if shards.is_some_and(|s| !s.is_empty()) {
-        "\n  ]\n"
-    } else {
-        "]\n"
-    });
-    out.push_str("}\n");
-    Ok(out)
-}
-
 /// The `--robustness` mode: sweep all protocols over the fault grid.
 fn run_robustness_mode(args: &Args, log: &Reporter) -> ExitCode {
-    let Source::Builtin(mobility) = args.source else {
-        log.error(
-            "dtnsim: --robustness needs a built-in mobility (trace, rwp, geom-rwp, interval=SECS)",
-        );
-        return ExitCode::FAILURE;
+    let cfg = SweepConfig {
+        slow_point_secs: args.slow_point_secs,
+        ..args.spec.sweep_config()
     };
-    let cfg = robustness_config(args);
     match run_robustness(
-        mobility,
+        args.spec.mobility,
         &cfg,
         args.checkpoint.as_deref(),
         args.resume,
@@ -729,21 +459,6 @@ fn run_robustness_mode(args: &Args, log: &Reporter) -> ExitCode {
             log.error(format!("dtnsim: {e}"));
             ExitCode::FAILURE
         }
-    }
-}
-
-fn robustness_config(args: &Args) -> SweepConfig {
-    SweepConfig {
-        loads: vec![args.load],
-        replications: args.reps,
-        base_seed: args.seed,
-        buffer_capacity: args.buffer,
-        tx_time_secs: args.tx_time,
-        retries: args.retries,
-        point_timeout_secs: args.point_timeout,
-        audit: args.audit,
-        slow_point_secs: args.slow_point_secs,
-        ..SweepConfig::default()
     }
 }
 
@@ -763,106 +478,30 @@ fn retry_policy(args: &Args) -> RetryPolicy {
         deadline: args
             .retry_deadline_secs
             .map(std::time::Duration::from_secs_f64),
-        seed: args.seed,
+        seed: args.spec.seed,
         ..RetryPolicy::default()
     }
 }
 
-/// Submit jobs in order, then collect results in the same order, through
-/// the self-healing client: the daemon parallelizes across its workers;
-/// submission is cheap (admit or cache-hit, never simulate); severed
-/// connections reconnect and resume with only the missing points.
-fn submit_and_collect(
-    client: &mut ResilientClient,
-    jobs: &[PointJob],
-    log: &Reporter,
-) -> Result<(Vec<Option<PointOutcome>>, usize), String> {
-    // `collect_available` is `collect_fragments` against a plain
-    // daemon; against a degraded coordinator it records per-point
-    // `unreachable` answers as `None` (partial-sweep mode) instead of
-    // failing the run.
-    let pairs = client.collect_available(jobs).map_err(|e| e.to_string())?;
-    let cached = pairs
-        .iter()
-        .filter(|p| matches!(p, Some((_, true))))
-        .count();
+/// What collecting points from the daemon took: its cache hits, and the
+/// healing a faulty link needed.
+fn log_collection(log: &Reporter, cached: usize, points: usize, heal: HealStats) {
     log.info(format!(
-        "daemon cache: {cached}/{} points served from cache",
-        jobs.len()
+        "daemon cache: {cached}/{points} points served from cache"
     ));
-    let heal = client.heal_stats();
     if heal.reconnects > 0 {
         log.info(format!(
             "healed through faults: {} reconnects, {} resubmits, {} refetches",
             heal.reconnects, heal.resubmits, heal.refetches
         ));
     }
-    let outcomes = pairs
-        .iter()
-        .map(|pair| {
-            pair.as_ref()
-                .map(|(fragment, _)| PointOutcome::from_wire_json(fragment))
-                .transpose()
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok((outcomes, cached))
 }
 
-/// If `addr` is a `dtnfedd` coordinator, fetch its stats and turn them
-/// into the report's federation attribution; a plain daemon (no
-/// `role:"coordinator"` in its stats) yields `None`. Best-effort — a
-/// completed sweep never fails over its attribution fetch.
-fn federation_stats(client: &mut ResilientClient, missing_points: u64) -> Option<FederationStats> {
-    use dtn_service::json::Value;
-    let raw = client.stats_raw().ok()?;
-    let v = Value::parse(&raw).ok()?;
-    if v.get("role").and_then(Value::as_str) != Some("coordinator") {
-        return None;
-    }
-    let num = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let shards = v
-        .get("shards")
-        .and_then(Value::as_array)
-        .map(|entries| {
-            entries
-                .iter()
-                .map(|s| ShardStat {
-                    addr: s
-                        .get("addr")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    state: s
-                        .get("state")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    completed: s.get("completed").and_then(Value::as_u64).unwrap_or(0),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    Some(FederationStats {
-        workers: num("workers"),
-        routable_workers: num("routable_workers"),
-        degraded: v.get("degraded").and_then(Value::as_bool).unwrap_or(false),
-        failovers: num("failovers"),
-        hedges: num("hedges"),
-        redispatches: num("redispatches"),
-        missing_points,
-        shards,
-    })
-}
-
-/// Client mode for the robustness grid: same jobs, same order, same
-/// report assembly — only the execution happens daemon-side.
+/// Client mode for the robustness grid: the gateway's remote sweep, run
+/// from here — same jobs, same order, same report assembly.
 fn run_robustness_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
-    let Source::Builtin(mobility) = args.source else {
-        log.error("dtnsim: --robustness needs a built-in mobility");
-        return ExitCode::FAILURE;
-    };
-    let cfg = robustness_config(args);
-    let points = match grid_point_jobs(mobility, &cfg) {
+    let cfg = args.spec.sweep_config();
+    let points = match grid_point_jobs(args.spec.mobility, &cfg) {
         Ok(points) => points,
         Err(e) => {
             log.error(format!("dtnsim: {e}"));
@@ -870,25 +509,19 @@ fn run_robustness_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
         }
     };
     let mut client = ResilientClient::new(addr, retry_policy(args));
-    let started = Instant::now();
-    let jobs: Vec<PointJob> = points.iter().map(|gp| gp.job.clone()).collect();
-    let (outcomes, _) = match submit_and_collect(&mut client, &jobs, log) {
-        Ok(r) => r,
+    let grid = match client.sweep_grid(args.spec.mobility, &cfg, &points, &mut |_, _, _| {}) {
+        Ok(grid) => grid,
         Err(e) => {
             log.error(format!("dtnsim: {e}"));
             return ExitCode::FAILURE;
         }
     };
+    log_collection(log, grid.cached, points.len(), client.heal_stats());
     // Partial-sweep mode: a degraded coordinator reported some points
-    // unreachable. Assemble the report from what drained, name what is
-    // missing, and exit non-zero — the report is honest, not complete.
-    let missing: Vec<usize> = outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| o.is_none().then_some(i))
-        .collect();
-    for &i in &missing {
-        let job = &jobs[i];
+    // unreachable. The report holds what drained; name what is missing
+    // and exit non-zero — the report is honest, not complete.
+    for &i in &grid.missing {
+        let job = &points[i].job;
         log.error(format!(
             "dtnsim: point missing (unreachable shard): {} @ {} load {}",
             job.protocol,
@@ -896,28 +529,14 @@ fn run_robustness_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
             job.load
         ));
     }
-    let (kept_points, kept_outcomes): (Vec<_>, Vec<_>) = points
-        .iter()
-        .cloned()
-        .zip(outcomes)
-        .filter_map(|(p, o)| o.map(|o| (p, o)))
-        .unzip();
-    let mut report = assemble_grid_report(
-        mobility,
-        &cfg,
-        &kept_points,
-        &kept_outcomes,
-        started.elapsed().as_secs_f64(),
-    );
-    report.federation = federation_stats(&mut client, missing.len() as u64);
-    print_report(&report, args.canonical);
-    if missing.is_empty() {
+    print_report(&grid.report, args.canonical);
+    if grid.missing.is_empty() {
         ExitCode::SUCCESS
     } else {
         log.error(format!(
             "dtnsim: partial sweep: {}/{} points missing",
-            missing.len(),
-            jobs.len()
+            grid.missing.len(),
+            points.len()
         ));
         ExitCode::from(3)
     }
@@ -932,32 +551,10 @@ fn run_robustness_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
 fn run_gateway_client(args: &Args, gateway: &str, log: &Reporter) -> ExitCode {
     use dtn_service::json::Value;
     use std::io::{BufRead as _, Read as _, Write as _};
-    let Source::Builtin(mobility) = args.source else {
-        log.error("dtnsim: --robustness needs a built-in mobility");
-        return ExitCode::FAILURE;
-    };
-    // The POST body mirrors `robustness_config` field for field, so the
-    // gateway derives the identical job grid (and therefore the same
-    // content-addressed sweep id a repeated submission collapses onto).
-    let mut spec = format!(
-        "{{\"mobility\":\"{}\",\"load\":{},\"reps\":{},\"seed\":{},\"buffer\":{},\"retries\":{}",
-        mobility.spec(),
-        args.load,
-        args.reps,
-        args.seed,
-        args.buffer,
-        args.retries
-    );
-    if let Some(tx) = args.tx_time {
-        let _ = write!(spec, ",\"tx_time\":{tx}");
-    }
-    if let Some(t) = args.point_timeout {
-        let _ = write!(spec, ",\"point_timeout\":{t}");
-    }
-    if args.audit {
-        spec.push_str(",\"audit\":true");
-    }
-    spec.push('}');
+    // The gateway parses the body back into the same spec, so it derives
+    // the identical job grid (and the same content-addressed sweep id a
+    // repeated submission collapses onto).
+    let spec = args.spec.to_json();
     let response = match httpd::http_request(
         gateway,
         "POST",
@@ -1108,49 +705,52 @@ fn run_gateway_client(args: &Args, gateway: &str, log: &Reporter) -> ExitCode {
 
 /// Client mode for a single (protocol, mobility, load) run.
 fn run_single_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
-    let Source::Builtin(mobility) = args.source else {
-        log.error(
-            "dtnsim: --connect needs a built-in mobility (trace, rwp, geom-rwp, interval=SECS); \
-             the daemon cannot see local trace files",
-        );
-        return ExitCode::FAILURE;
-    };
+    let spec = &args.spec;
     // Single-run convention: the trace seed and RNG root are both
     // `--seed`, exactly as the local path below sets them.
     let job = PointJob {
         protocol: args.protocol_spec.clone(),
-        mobility,
-        load: args.load,
-        replications: args.reps,
-        root_seed: args.seed,
-        trace_seed: args.seed,
-        buffer_capacity: args.buffer,
-        tx_time_secs: args.tx_time.unwrap_or_else(|| mobility.tx_time_secs()),
+        mobility: spec.mobility,
+        load: spec.load,
+        replications: spec.reps,
+        root_seed: spec.seed,
+        trace_seed: spec.seed,
+        buffer_capacity: spec.buffer,
+        tx_time_secs: args.tx_time(),
         transfer_loss: args.loss,
         faults: args.faults.clone(),
-        retries: args.retries,
-        point_timeout_secs: args.point_timeout,
-        audit: args.audit,
+        retries: spec.retries,
+        point_timeout_secs: spec.point_timeout,
+        audit: spec.audit,
     };
     let mut client = ResilientClient::new(addr, retry_policy(args));
     let started = Instant::now();
-    let (outcomes, _) = match submit_and_collect(&mut client, std::slice::from_ref(&job), log) {
-        Ok(r) => r,
+    let pair = match client.collect_available(std::slice::from_ref(&job)) {
+        Ok(mut pairs) => pairs.pop().flatten(),
         Err(e) => {
             log.error(format!("dtnsim: {e}"));
             return ExitCode::FAILURE;
         }
     };
-    let Some(outcome) = &outcomes[0] else {
+    let cached = pair.as_ref().is_some_and(|(_, cached)| *cached);
+    log_collection(log, usize::from(cached), 1, client.heal_stats());
+    let Some((fragment, _)) = pair else {
         log.error("dtnsim: the point is unreachable (degraded federation, quorum lost)");
         return ExitCode::from(3);
     };
+    let outcome = match PointOutcome::from_wire_json(&fragment) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            log.error(format!("dtnsim: {e}"));
+            return ExitCode::FAILURE;
+        }
+    };
     let wall = started.elapsed().as_secs_f64();
 
-    let mut report = single_run_report(args, &mobility.label(), outcome, wall);
+    let mut report = single_run_report(args, &spec.mobility.label(), &outcome, wall);
     report.record_cache((0, 0));
     report.finish(wall);
-    report.federation = federation_stats(&mut client, 0);
+    report.federation = client.federation_stats(0);
     print_report(&report, args.canonical);
     ExitCode::SUCCESS
 }
@@ -1160,13 +760,13 @@ fn run_single_client(args: &Args, addr: &str, log: &Reporter) -> ExitCode {
 fn single_run_report(args: &Args, label: &str, outcome: &PointOutcome, wall: f64) -> SweepReport {
     let mut report = SweepReport::new(format!(
         "dtnsim: {} @ {} load {} x {} replications",
-        args.protocol.name, label, args.load, args.reps
+        args.protocol.name, label, args.spec.load, args.spec.reps
     ));
     record_supervised_point(
         &mut report,
         args.protocol.name,
         label,
-        args.load,
+        args.spec.load,
         &outcome.outcomes,
         &outcome.attempts,
     );
@@ -1215,10 +815,9 @@ fn run_local(
         ),
         (true, true) => PointOutcome::from_supervised(
             plan.run(threads, watchdog, |r| {
-                FanoutProbe::new((JsonlProbe::new(), r.series_probe()), r.audit_probe())
+                ((JsonlProbe::new(), r.series_probe()), r.audit_probe())
             }),
-            |rep, m, probe| {
-                let ((jsonl, series), auditor) = probe.into_parts();
+            |rep, m, ((jsonl, series), auditor)| {
                 capture(rep, m, jsonl, series);
                 auditor.violation_strings()
             },
@@ -1270,20 +869,12 @@ fn main() -> ExitCode {
                 Ok(c) => c,
                 Err(code) => return code,
             };
-            let rendered = client.stats_raw().and_then(|raw| {
-                use dtn_service::json::Value;
-                let coordinator = Value::parse(&raw)
-                    .ok()
-                    .is_some_and(|v| v.get("role").and_then(Value::as_str) == Some("coordinator"));
-                if coordinator {
-                    render_coordinator_stats(&raw, args.canonical)
-                } else {
-                    render_daemon_stats(&raw, args.canonical)
-                }
-            });
-            return match rendered {
-                Ok(stats) => {
-                    print!("{stats}");
+            return match client
+                .stats_raw()
+                .and_then(|raw| stats_document(&raw, args.canonical))
+            {
+                Ok(doc) => {
+                    print!("{doc}");
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
@@ -1322,27 +913,26 @@ fn main() -> ExitCode {
     }
 
     let cache = TraceCache::new();
-    let tx_time = args
-        .tx_time
-        .unwrap_or_else(|| args.source.default_tx_time());
+    let tx_time = args.tx_time();
+    let spec = &args.spec;
     let plan = ReplicationPlan {
-        root: SimRng::new(args.seed),
-        load: args.load,
-        replications: args.reps,
-        traces: args.source.traces(args.seed, &cache),
+        root: SimRng::new(spec.seed),
+        load: spec.load,
+        replications: spec.reps,
+        traces: args.traces(&cache),
         config: SimConfig {
-            buffer_capacity: args.buffer,
+            buffer_capacity: spec.buffer,
             tx_time: SimDuration::from_secs(tx_time),
             transfer_loss_prob: args.loss,
             faults: args.faults.clone(),
             ..SimConfig::paper_defaults(args.protocol.clone())
         },
     };
-    let label = args.source.label();
+    let label = args.label();
 
     log.info(format!(
         "protocol {:?} | mobility {} | load {} | buffer {} | tx {} s | {} replications",
-        args.protocol.name, label, args.load, args.buffer, tx_time, args.reps
+        args.protocol.name, label, spec.load, spec.buffer, tx_time, spec.reps
     ));
 
     if args.stats {
@@ -1359,13 +949,13 @@ fn main() -> ExitCode {
     // reads. A file trace is already loaded, so its trace phase is just
     // handing it out.
     let trace_started = Instant::now();
-    for rep in 0..args.reps {
+    for rep in 0..spec.reps {
         let _ = plan.traces.get(rep as u64);
     }
     let trace_secs = trace_started.elapsed().as_secs_f64();
     let started = Instant::now();
-    let watchdog = Watchdog::new(args.retries, args.point_timeout);
-    let (outcome, captures) = run_local(plan, watchdog, probed, args.audit);
+    let watchdog = Watchdog::new(spec.retries, spec.point_timeout);
+    let (outcome, captures) = run_local(plan, watchdog, probed, spec.audit);
     let wall = started.elapsed().as_secs_f64();
     for (rep, o) in outcome.outcomes.iter().enumerate() {
         match o {
@@ -1396,10 +986,10 @@ fn main() -> ExitCode {
             tool: "dtnsim".into(),
             protocol: args.protocol.name.into(),
             mobility: label.clone(),
-            load: args.load,
-            replications: args.reps,
-            seed: args.seed,
-            buffer_capacity: args.buffer,
+            load: spec.load,
+            replications: spec.reps,
+            seed: spec.seed,
+            buffer_capacity: spec.buffer,
             tx_time_secs: tx_time,
             git_rev: dtn_experiments::git_rev(),
             unix_time_secs: dtn_experiments::unix_time_secs(),
@@ -1419,7 +1009,7 @@ fn main() -> ExitCode {
         log.debug(format!(
             "wrote {} events for {} replications to {}",
             events,
-            args.reps,
+            spec.reps,
             path.display()
         ));
     }
@@ -1454,15 +1044,15 @@ fn main() -> ExitCode {
         bundles_hist.merge(&probe.bundles_per_contact);
     }
 
-    if args.audit {
+    if spec.audit {
         match outcome.violations.len() {
             0 => log.info("audit: clean — no invariant violations"),
             n => log.error(format!("audit: {n} invariant violation(s) detected")),
         }
     }
 
-    let point = aggregate_point(args.load, &runs);
-    log.info(format!("results over {} replications:", args.reps));
+    let point = aggregate_point(spec.load, &runs);
+    log.info(format!("results over {} replications:", spec.reps));
     log.info(format!(
         "  delivery ratio      {:.1} % ± {:.1}",
         100.0 * point.delivery_ratio.mean,

@@ -19,7 +19,7 @@
 
 use crate::json::{escape, Value};
 use crate::wire::{extract_fragment, read_frame, write_frame};
-use dtn_experiments::jobs::{PointJob, PointOutcome};
+use dtn_experiments::jobs::PointJob;
 use dtn_sim::SimRng;
 use std::fmt;
 use std::io;
@@ -215,20 +215,6 @@ impl Client {
         Ok(Client { stream })
     }
 
-    /// Connect, retrying while the daemon is still coming up (CI starts
-    /// the daemon in the background and races it with the first client).
-    pub fn connect_with_retry(addr: &str, attempts: u32, delay: Duration) -> io::Result<Client> {
-        let mut last = None;
-        for _ in 0..attempts.max(1) {
-            match Client::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) => last = Some(e),
-            }
-            std::thread::sleep(delay);
-        }
-        Err(last.unwrap_or_else(|| io::Error::other("no connect attempts made")))
-    }
-
     fn request(&mut self, payload: &str) -> Result<Value, ClientError> {
         let raw = self.request_raw(payload)?;
         Value::parse(&raw).map_err(|e| ClientError::Protocol(format!("bad response: {e}")))
@@ -390,12 +376,6 @@ impl Client {
         Ok((fragment.to_string(), cached))
     }
 
-    /// Block until `job_id` resolves and decode its [`PointOutcome`].
-    pub fn fetch_outcome(&mut self, job_id: &str) -> Result<PointOutcome, String> {
-        let (fragment, _) = self.fetch_fragment(job_id)?;
-        PointOutcome::from_wire_json(&fragment)
-    }
-
     /// Cancel a queued job; `Ok(true)` if it was actually cancelled.
     pub fn cancel(&mut self, job_id: &str) -> Result<bool, String> {
         let response = self
@@ -429,9 +409,151 @@ impl Client {
     }
 }
 
+/// `stats` members that follow wall time or load rather than the work
+/// served. `--daemon-stats --canonical` masks them at any depth (so a
+/// coordinator's per-shard probe counts too).
+pub const VOLATILE_STATS: &[&str] = &[
+    // Load at the instant of the request.
+    "queue_depth",
+    "running",
+    "inflight",
+    // Timers: journal flushes fire on a time window, the janitor and the
+    // relay cache's refetches ride the cron clock, heartbeat probes and
+    // the p99-derived hedge deadline ride wall time.
+    "journal_flushes",
+    "cache_expired",
+    "cache_evictions",
+    "cache_bytes",
+    "relay_hits",
+    "relay_misses",
+    "relay_entries",
+    "probes_ok",
+    "probes_failed",
+    "hedge_deadline_ms",
+    // Wall-clock measurements.
+    "uptime_secs",
+    "worker_busy_secs",
+    "worker_utilization",
+    "latency",
+];
+
+/// Render a daemon's or coordinator's `stats` reply as the
+/// `dtnsim --daemon-stats` document: the reply's own members, in reply
+/// order, one per line, with `type` naming the role (`daemon_stats` or
+/// `coordinator_stats`). With `canonical`, every member named in
+/// [`VOLATILE_STATS`] reads `0` (a number) or `null` (anything else), so
+/// two deployments that served the same work print the same bytes.
+pub fn stats_document(raw: &str, canonical: bool) -> Result<String, String> {
+    let reply = Value::parse(raw).map_err(|e| format!("unparseable stats reply: {e}"))?;
+    let (Value::Obj(members), Some("stats")) = (&reply, reply.get("type").and_then(Value::as_str))
+    else {
+        return Err(format!("unexpected stats reply: {raw}"));
+    };
+    let kind = match reply.get("role").and_then(Value::as_str) {
+        Some("coordinator") => "coordinator_stats",
+        _ => "daemon_stats",
+    };
+    let mut out = String::from("{\n");
+    for (i, (key, value)) in members.iter().enumerate() {
+        out.push_str(if i == 0 { "  \"" } else { ",\n  \"" });
+        out.push_str(&escape(key));
+        out.push_str("\": ");
+        if key == "type" {
+            out.push_str(&format!("\"{kind}\""));
+        } else {
+            write_member(&mut out, key, value, canonical);
+        }
+    }
+    out.push_str("\n}\n");
+    Ok(out)
+}
+
+/// One member's value, masked when `canonical` names it volatile.
+fn write_member(out: &mut String, key: &str, value: &Value, canonical: bool) {
+    match value {
+        _ if !canonical || !VOLATILE_STATS.contains(&key) => write_json(out, value, canonical),
+        Value::Num(_) => out.push('0'),
+        _ => out.push_str("null"),
+    }
+}
+
+/// `value` as compact JSON; numbers keep their source text.
+fn write_json(out: &mut String, value: &Value, canonical: bool) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(raw) => out.push_str(raw),
+        Value::Str(s) => {
+            out.push('"');
+            out.push_str(&escape(s));
+            out.push('"');
+        }
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json(out, item, canonical);
+            }
+            out.push(']');
+        }
+        Value::Obj(members) => {
+            out.push('{');
+            for (i, (key, member)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                out.push_str(&escape(key));
+                out.push_str("\":");
+                write_member(out, key, member, canonical);
+            }
+            out.push('}');
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stats_document_prints_every_member_in_reply_order() {
+        let raw = "{\"type\":\"stats\",\"engine\":\"e\\\"1\",\"workers\":2,\"queue_depth\":3,\
+                   \"journal_errors\":4,\"uptime_secs\":1.5,\
+                   \"latency\":{\"sim\":{\"count\":1,\"p50\":0.25}}}";
+        assert_eq!(
+            stats_document(raw, false).unwrap(),
+            "{\n  \"type\": \"daemon_stats\",\n  \"engine\": \"e\\\"1\",\n  \"workers\": 2,\n  \
+             \"queue_depth\": 3,\n  \"journal_errors\": 4,\n  \"uptime_secs\": 1.5,\n  \
+             \"latency\": {\"sim\":{\"count\":1,\"p50\":0.25}}\n}\n"
+        );
+        assert_eq!(
+            stats_document(raw, true).unwrap(),
+            "{\n  \"type\": \"daemon_stats\",\n  \"engine\": \"e\\\"1\",\n  \"workers\": 2,\n  \
+             \"queue_depth\": 0,\n  \"journal_errors\": 4,\n  \"uptime_secs\": 0,\n  \
+             \"latency\": null\n}\n"
+        );
+        for bad in ["not json", "{\"type\":\"error\"}", "[1]"] {
+            assert!(stats_document(bad, false).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn canonical_stats_mask_shard_probe_counts_too() {
+        let raw = "{\"type\":\"stats\",\"role\":\"coordinator\",\"degraded\":false,\
+                   \"probes_ok\":9,\"shards\":[{\"addr\":\"a:1\",\"state\":\"alive\",\
+                   \"completed\":5,\"probes_ok\":7,\"probes_failed\":1}]}";
+        let doc = stats_document(raw, true).unwrap();
+        assert_eq!(
+            doc,
+            "{\n  \"type\": \"coordinator_stats\",\n  \"role\": \"coordinator\",\n  \
+             \"degraded\": false,\n  \"probes_ok\": 0,\n  \"shards\": [{\"addr\":\"a:1\",\
+             \"state\":\"alive\",\"completed\":5,\"probes_ok\":0,\"probes_failed\":0}]\n}\n"
+        );
+        assert!(Value::parse(&doc).is_ok());
+    }
 
     #[test]
     fn backoff_is_exponential_jittered_and_floored() {

@@ -52,10 +52,7 @@ use crate::client::{Client, ClientError, RetryPolicy};
 use crate::json::{escape, Value};
 use crate::resilient::ResilientClient;
 use dtn_epidemic::protocols;
-use dtn_experiments::{
-    assemble_grid_report, grid_point_jobs, FederationStats, GridPoint, Mobility, PointJob,
-    PointOutcome, ShardStat, SweepConfig,
-};
+use dtn_experiments::{grid_point_jobs, GridPoint, Mobility, SweepConfig};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -1127,87 +1124,142 @@ fn protocols_doc() -> String {
     format!("{{\"protocols\":[{}]}}\n", rows.join(","))
 }
 
-/// The POST body, mirroring `dtnsim --robustness` flags and defaults.
-struct SweepSpec {
-    mobility: Mobility,
-    load: u32,
-    reps: usize,
-    seed: u64,
-    buffer: usize,
-    tx_time: Option<u64>,
-    retries: u32,
-    point_timeout: Option<u64>,
-    audit: bool,
+/// A robustness sweep's parameters: the `POST /v1/sweeps` body and
+/// `dtnsim`'s sweep flags, with one set of defaults and one check.
+/// [`SweepSpec::to_json`] writes the body [`SweepSpec::parse`] reads.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepSpec {
+    /// The built-in mobility scenario.
+    pub mobility: Mobility,
+    /// Bundles per flow.
+    pub load: u32,
+    /// Replications per point.
+    pub reps: usize,
+    /// Root seed.
+    pub seed: u64,
+    /// Relay-buffer capacity.
+    pub buffer: usize,
+    /// Per-bundle transmission time in seconds (`None`: the scenario's).
+    pub tx_time: Option<u64>,
+    /// Retries of a panicking replication.
+    pub retries: u32,
+    /// Hard per-replication deadline in seconds.
+    pub point_timeout: Option<u64>,
+    /// Attach the invariant auditor to every replication.
+    pub audit: bool,
 }
 
-fn parse_sweep_spec(body: &[u8]) -> Result<SweepSpec, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    if text.trim().is_empty() {
-        return Err("empty body; expected a JSON sweep spec like \
-                    {\"mobility\":\"interval=2000\",\"load\":10}"
-            .to_string());
-    }
-    let v = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let mobility_spec = v
-        .get("mobility")
-        .and_then(Value::as_str)
-        .ok_or("missing \"mobility\" (trace | rwp | geom-rwp | interval=SECS)")?;
-    let mobility = Mobility::parse(mobility_spec)?;
-    let uint = |key: &str, default: u64| -> Result<u64, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(value) => value
-                .as_u64()
-                .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
+impl SweepSpec {
+    /// The default sweep on `mobility`.
+    pub fn new(mobility: Mobility) -> SweepSpec {
+        SweepSpec {
+            mobility,
+            load: 25,
+            reps: 10,
+            seed: 1,
+            buffer: 10,
+            tx_time: None,
+            retries: 0,
+            point_timeout: None,
+            audit: false,
         }
-    };
-    let opt_uint = |key: &str| -> Result<Option<u64>, String> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(value) if value.is_null() => Ok(None),
-            Some(value) => value
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
-        }
-    };
-    let load = u32::try_from(uint("load", 25)?).map_err(|_| "\"load\" out of range".to_string())?;
-    let reps =
-        usize::try_from(uint("reps", 10)?).map_err(|_| "\"reps\" out of range".to_string())?;
-    if load == 0 || reps == 0 {
-        return Err("\"load\" and \"reps\" must be at least 1".to_string());
     }
-    Ok(SweepSpec {
-        mobility,
-        load,
-        reps,
-        seed: uint("seed", 1)?,
-        buffer: usize::try_from(uint("buffer", 10)?)
-            .map_err(|_| "\"buffer\" out of range".to_string())?,
-        tx_time: opt_uint("tx_time")?,
-        retries: u32::try_from(uint("retries", 0)?)
-            .map_err(|_| "\"retries\" out of range".to_string())?,
-        point_timeout: opt_uint("point_timeout")?,
-        audit: match v.get("audit") {
-            None => false,
-            Some(value) => value
-                .as_bool()
-                .ok_or("\"audit\" must be a boolean".to_string())?,
-        },
-    })
-}
 
-fn sweep_config(spec: &SweepSpec) -> SweepConfig {
-    SweepConfig {
-        loads: vec![spec.load],
-        replications: spec.reps,
-        base_seed: spec.seed,
-        buffer_capacity: spec.buffer,
-        tx_time_secs: spec.tx_time,
-        retries: spec.retries,
-        point_timeout_secs: spec.point_timeout,
-        audit: spec.audit,
-        ..SweepConfig::default()
+    /// Refuse parameters no run can use.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.load == 0 || self.reps == 0 || self.buffer == 0 {
+            return Err("load, reps and buffer must be at least 1".to_string());
+        }
+        if self.point_timeout == Some(0) {
+            return Err("point_timeout must be at least 1 second".to_string());
+        }
+        Ok(())
+    }
+
+    /// Parse and validate a JSON body; absent members keep
+    /// [`SweepSpec::new`]'s defaults.
+    pub fn parse(body: &[u8]) -> Result<SweepSpec, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        if text.trim().is_empty() {
+            return Err("empty body; expected a JSON sweep spec like \
+                        {\"mobility\":\"interval=2000\",\"load\":10}"
+                .to_string());
+        }
+        let v = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+        let mobility_spec = v
+            .get("mobility")
+            .and_then(Value::as_str)
+            .ok_or("missing \"mobility\" (trace | rwp | geom-rwp | interval=SECS)")?;
+        let defaults = SweepSpec::new(Mobility::parse(mobility_spec)?);
+        let opt_uint = |key: &str| -> Result<Option<u64>, String> {
+            match v.get(key) {
+                None => Ok(None),
+                Some(value) if value.is_null() => Ok(None),
+                Some(value) => value
+                    .as_u64()
+                    .map(Some)
+                    .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
+            }
+        };
+        let uint = |key: &str, default: u64| -> Result<u64, String> {
+            Ok(opt_uint(key)?.unwrap_or(default))
+        };
+        let range = |key: &str| format!("\"{key}\" out of range");
+        let spec = SweepSpec {
+            load: u32::try_from(uint("load", u64::from(defaults.load))?)
+                .map_err(|_| range("load"))?,
+            reps: usize::try_from(uint("reps", defaults.reps as u64)?)
+                .map_err(|_| range("reps"))?,
+            seed: uint("seed", defaults.seed)?,
+            buffer: usize::try_from(uint("buffer", defaults.buffer as u64)?)
+                .map_err(|_| range("buffer"))?,
+            tx_time: opt_uint("tx_time")?,
+            retries: u32::try_from(uint("retries", u64::from(defaults.retries))?)
+                .map_err(|_| range("retries"))?,
+            point_timeout: opt_uint("point_timeout")?,
+            audit: match v.get("audit") {
+                None => defaults.audit,
+                Some(value) => value
+                    .as_bool()
+                    .ok_or("\"audit\" must be a boolean".to_string())?,
+            },
+            ..defaults
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// The JSON body [`SweepSpec::parse`] reads back to `self`.
+    pub fn to_json(&self) -> String {
+        let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
+        format!(
+            "{{\"mobility\":\"{}\",\"load\":{},\"reps\":{},\"seed\":{},\"buffer\":{},\
+             \"tx_time\":{},\"retries\":{},\"point_timeout\":{},\"audit\":{}}}",
+            escape(&self.mobility.spec()),
+            self.load,
+            self.reps,
+            self.seed,
+            self.buffer,
+            opt(self.tx_time),
+            self.retries,
+            opt(self.point_timeout),
+            self.audit
+        )
+    }
+
+    /// The robustness grid's configuration.
+    pub fn sweep_config(&self) -> SweepConfig {
+        SweepConfig {
+            loads: vec![self.load],
+            replications: self.reps,
+            base_seed: self.seed,
+            buffer_capacity: self.buffer,
+            tx_time_secs: self.tx_time,
+            retries: self.retries,
+            point_timeout_secs: self.point_timeout,
+            audit: self.audit,
+            ..SweepConfig::default()
+        }
     }
 }
 
@@ -1217,11 +1269,11 @@ fn bad_request(responder: Responder, message: &str) {
 }
 
 fn handle_submit(state: &Arc<GatewayState>, request: &Request, responder: Responder) {
-    let spec = match parse_sweep_spec(&request.body) {
+    let spec = match SweepSpec::parse(&request.body) {
         Ok(spec) => spec,
         Err(e) => return bad_request(responder, &e),
     };
-    let cfg = sweep_config(&spec);
+    let cfg = spec.sweep_config();
     let points = match grid_point_jobs(spec.mobility, &cfg) {
         Ok(points) => points,
         Err(e) => return bad_request(responder, &e),
@@ -1349,125 +1401,47 @@ fn run_sweep(
     points: Vec<GridPoint>,
     sweep: Arc<Sweep>,
 ) {
-    let jobs: Vec<PointJob> = points.iter().map(|p| p.job.clone()).collect();
     let policy = RetryPolicy {
         seed: config.seed,
         ..RetryPolicy::default()
     };
     let mut client = ResilientClient::new(&config.upstream, policy);
-    let started = Instant::now();
-    let result = {
-        let stream_sweep = &sweep;
-        let stream_points = &points;
-        client.collect_available_with(&jobs, &mut |index, fragment, cached| {
-            // `outcome` is last, like the wire protocol's frames: a
-            // reader can slice the member's bytes verbatim.
-            let line = format!(
-                "{{\"type\":\"point\",\"index\":{index},\"key\":\"{}\",\"cached\":{cached},\
-                 \"outcome\":{fragment}}}",
-                escape(&stream_points[index].key)
-            );
-            let mut inner = stream_sweep.inner.lock().expect("sweep poisoned");
-            inner.points.push(line);
-            stream_sweep.cv.notify_all();
-        })
-    };
-    let pairs = match result {
-        Ok(pairs) => pairs,
-        Err(e) => {
-            let mut inner = sweep.inner.lock().expect("sweep poisoned");
-            if inner.cancel_requested {
-                inner.status = SweepStatus::Cancelled;
-            } else {
-                inner.status = SweepStatus::Failed;
-                inner.error = Some(e.to_string());
-            }
-            sweep.cv.notify_all();
-            return;
-        }
-    };
-    let missing = pairs.iter().filter(|p| p.is_none()).count() as u64;
-    let decoded: Result<Vec<(GridPoint, PointOutcome)>, String> = points
-        .iter()
-        .zip(&pairs)
-        .filter_map(|(point, pair)| {
-            pair.as_ref().map(|(fragment, _)| {
-                PointOutcome::from_wire_json(fragment).map(|o| (point.clone(), o))
-            })
-        })
-        .collect();
-    let kept = match decoded {
-        Ok(kept) => kept,
-        Err(e) => {
-            let mut inner = sweep.inner.lock().expect("sweep poisoned");
-            inner.status = SweepStatus::Failed;
-            inner.error = Some(format!("malformed fragment: {e}"));
-            sweep.cv.notify_all();
-            return;
-        }
-    };
-    let (kept_points, kept_outcomes): (Vec<GridPoint>, Vec<PointOutcome>) =
-        kept.into_iter().unzip();
-    let mut report = assemble_grid_report(
-        mobility,
-        &cfg,
-        &kept_points,
-        &kept_outcomes,
-        started.elapsed().as_secs_f64(),
-    );
-    report.federation = federation_stats(&mut client, missing);
-    let full = report.to_json();
-    let canonical = report.to_canonical_json();
+    let result = client.sweep_grid(mobility, &cfg, &points, &mut |index, fragment, cached| {
+        // `outcome` is last, like the wire protocol's frames: a reader
+        // can slice the member's bytes verbatim.
+        let line = format!(
+            "{{\"type\":\"point\",\"index\":{index},\"key\":\"{}\",\"cached\":{cached},\
+             \"outcome\":{fragment}}}",
+            escape(&points[index].key)
+        );
+        let mut inner = sweep.inner.lock().expect("sweep poisoned");
+        inner.points.push(line);
+        sweep.cv.notify_all();
+    });
+    // Render outside the lock: stream readers wait on it.
+    let result = result.map(|grid| {
+        let report = &grid.report;
+        (
+            grid.missing.len() as u64,
+            report.to_json(),
+            report.to_canonical_json(),
+        )
+    });
     let mut inner = sweep.inner.lock().expect("sweep poisoned");
-    inner.status = SweepStatus::Done;
-    inner.missing = missing;
-    inner.report_full = Some(full);
-    inner.report_canonical = Some(canonical);
-    sweep.cv.notify_all();
-}
-
-/// Same attribution fetch `dtnsim --connect` does after a sweep: if the
-/// upstream is a coordinator, fold its stats into the report's
-/// federation block. Best-effort; a plain daemon yields `None`.
-fn federation_stats(client: &mut ResilientClient, missing_points: u64) -> Option<FederationStats> {
-    let raw = client.stats_raw().ok()?;
-    let v = Value::parse(&raw).ok()?;
-    if v.get("role").and_then(Value::as_str) != Some("coordinator") {
-        return None;
+    match result {
+        Ok((missing, full, canonical)) => {
+            inner.status = SweepStatus::Done;
+            inner.missing = missing;
+            inner.report_full = Some(full);
+            inner.report_canonical = Some(canonical);
+        }
+        Err(_) if inner.cancel_requested => inner.status = SweepStatus::Cancelled,
+        Err(e) => {
+            inner.status = SweepStatus::Failed;
+            inner.error = Some(e);
+        }
     }
-    let num = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let shards = v
-        .get("shards")
-        .and_then(Value::as_array)
-        .map(|entries| {
-            entries
-                .iter()
-                .map(|s| ShardStat {
-                    addr: s
-                        .get("addr")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    state: s
-                        .get("state")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    completed: s.get("completed").and_then(Value::as_u64).unwrap_or(0),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    Some(FederationStats {
-        workers: num("workers"),
-        routable_workers: num("routable_workers"),
-        degraded: v.get("degraded").and_then(Value::as_bool).unwrap_or(false),
-        failovers: num("failovers"),
-        hedges: num("hedges"),
-        redispatches: num("redispatches"),
-        missing_points,
-        shards,
-    })
+    sweep.cv.notify_all();
 }
 
 fn handle_stream(sweep: &Arc<Sweep>, canonical: bool, responder: Responder) {
@@ -1691,7 +1665,7 @@ mod tests {
 
     #[test]
     fn sweep_spec_parses_with_defaults_and_rejects_garbage() {
-        let spec = parse_sweep_spec(br#"{"mobility":"interval=2000","load":10,"reps":2}"#).unwrap();
+        let spec = SweepSpec::parse(br#"{"mobility":"interval=2000","load":10,"reps":2}"#).unwrap();
         assert_eq!(spec.load, 10);
         assert_eq!(spec.reps, 2);
         assert_eq!(spec.seed, 1, "seed defaults to the CLI's default");
@@ -1703,8 +1677,29 @@ mod tests {
             b"{\"mobility\":\"rwp\",\"load\":0}",
             b"{\"mobility\":\"rwp\",\"reps\":\"many\"}",
             b"not json",
+            b"{\"mobility\":\"rwp\",\"buffer\":0}",
+            b"{\"mobility\":\"rwp\",\"point_timeout\":0}",
         ] {
-            assert!(parse_sweep_spec(bad).is_err(), "{bad:?}");
+            assert!(SweepSpec::parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn sweep_spec_body_round_trips() {
+        let plain = SweepSpec::new(Mobility::Interval(2000));
+        let full = SweepSpec {
+            mobility: Mobility::GeometricRwp,
+            load: 7,
+            reps: 3,
+            seed: u64::MAX,
+            buffer: 4,
+            tx_time: Some(20),
+            retries: 2,
+            point_timeout: Some(9),
+            audit: true,
+        };
+        for spec in [plain, full] {
+            assert_eq!(SweepSpec::parse(spec.to_json().as_bytes()), Ok(spec));
         }
     }
 }

@@ -14,11 +14,14 @@
 //! * [`wire`] — the length-prefixed JSON framing and the job codec
 //!   shared by daemon and client;
 //! * [`client`] — the client used by `dtnsim --connect`, which submits
-//!   the same per-point jobs a local sweep would run and reassembles an
-//!   identical `SweepReport`;
+//!   the same per-point jobs a local sweep would run, plus the
+//!   `--daemon-stats` rendering of a `stats` reply;
 //! * [`resilient`] — the self-healing wrapper around [`client`]:
 //!   transparent reconnect, idempotent resubmission (the content-
-//!   addressed cache makes redelivery free), and partial-sweep resume;
+//!   addressed cache makes redelivery free), partial-sweep resume, and
+//!   the one remote grid sweep ([`ResilientClient::sweep_grid`]) that
+//!   the gateway and `dtnsim --connect` both run to reassemble an
+//!   identical `SweepReport`;
 //! * [`membership`] — the federation's shard table: a consistent-hash
 //!   ring over worker daemons plus the per-shard health state machine
 //!   (alive → suspect → dead, with revival and operator drain);
@@ -70,13 +73,13 @@ pub mod wire;
 pub use dtn_sim::json;
 
 pub use cache::{job_key, JournalConfig, RecoveryStats, ResultStore, ENGINE_VERSION};
-pub use client::{Client, ClientError, RetryPolicy, SubmitTicket};
+pub use client::{stats_document, Client, ClientError, RetryPolicy, SubmitTicket};
 pub use coordinator::{Coordinator, CoordinatorConfig};
 pub use cron::{Cron, CronBuilder};
 pub use daemon::{Daemon, DaemonConfig};
 pub use http::{MetricsServer, TelemetrySnapshotter};
-pub use httpd::{ConnectTarget, Gateway, GatewayConfig, HttpServer};
+pub use httpd::{ConnectTarget, Gateway, GatewayConfig, HttpServer, SweepSpec};
 pub use janitor::{Janitor, JanitorConfig};
 pub use membership::{Membership, ShardHealth};
 pub use proxy::{FaultProxy, ProxyPlan, UpstreamResolver};
-pub use resilient::{HealStats, ResilientClient};
+pub use resilient::{HealStats, RemoteGrid, ResilientClient};

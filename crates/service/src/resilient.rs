@@ -30,9 +30,19 @@
 //! cap therefore bounds consecutive **zero-round-trip** connections —
 //! the signature of a daemon that is actually down — rather than
 //! capping how long a noisy link may take.
+//!
+//! [`ResilientClient::sweep_grid`] is the one remote robustness sweep:
+//! the HTTP gateway's runner and `dtnsim --connect --robustness` both
+//! collect, decode and assemble a grid through it, so their reports
+//! cannot drift apart.
 
 use crate::client::{Client, ClientError, RetryPolicy};
+use crate::json::Value;
 use dtn_experiments::jobs::PointJob;
+use dtn_experiments::{
+    assemble_grid_report, FederationStats, GridPoint, Mobility, PointOutcome, ShardStat,
+    SweepConfig, SweepReport,
+};
 use dtn_sim::SimRng;
 use std::time::Instant;
 
@@ -55,6 +65,18 @@ pub struct HealStats {
     pub resubmits: u64,
     /// Fragments whose fetch was retried after a severed connection.
     pub refetches: u64,
+}
+
+/// A robustness grid run through the service by
+/// [`ResilientClient::sweep_grid`].
+pub struct RemoteGrid {
+    /// The report over the points that came back, with the
+    /// coordinator's attribution when the upstream is one.
+    pub report: SweepReport,
+    /// Grid indices a degraded coordinator reported unreachable.
+    pub missing: Vec<usize>,
+    /// Points the upstream served from its result cache.
+    pub cached: usize,
 }
 
 /// A [`Client`] wrapper that survives severed connections, daemon
@@ -351,6 +373,93 @@ impl ResilientClient {
             }
         }
         Ok(())
+    }
+
+    /// Run a robustness grid through the upstream and assemble its
+    /// report: collect every point (a degraded coordinator's
+    /// unreachable ones come back missing), decode the fragments,
+    /// assemble the report over the points that arrived, and attach the
+    /// federation attribution. `on_point` sees each fragment as it
+    /// lands. The HTTP gateway and `dtnsim --connect` both run remote
+    /// grids through here, so they assemble the same bytes.
+    pub fn sweep_grid(
+        &mut self,
+        mobility: Mobility,
+        cfg: &SweepConfig,
+        points: &[GridPoint],
+        on_point: PointSink<'_>,
+    ) -> Result<RemoteGrid, String> {
+        let started = Instant::now();
+        let jobs: Vec<PointJob> = points.iter().map(|p| p.job.clone()).collect();
+        let pairs = self
+            .collect_available_with(&jobs, on_point)
+            .map_err(|e| e.to_string())?;
+        let mut missing = Vec::new();
+        let mut cached = 0;
+        let (mut kept_points, mut kept_outcomes) = (Vec::new(), Vec::new());
+        for (i, (point, pair)) in points.iter().zip(pairs).enumerate() {
+            let Some((fragment, hit)) = pair else {
+                missing.push(i);
+                continue;
+            };
+            cached += usize::from(hit);
+            let outcome = PointOutcome::from_wire_json(&fragment)
+                .map_err(|e| format!("malformed fragment: {e}"))?;
+            kept_points.push(point.clone());
+            kept_outcomes.push(outcome);
+        }
+        let mut report = assemble_grid_report(
+            mobility,
+            cfg,
+            &kept_points,
+            &kept_outcomes,
+            started.elapsed().as_secs_f64(),
+        );
+        report.federation = self.federation_stats(missing.len() as u64);
+        Ok(RemoteGrid {
+            report,
+            missing,
+            cached,
+        })
+    }
+
+    /// If the upstream is a `dtnfedd` coordinator, its stats as a
+    /// report's federation attribution; a plain daemon (no
+    /// `role:"coordinator"` in its stats) yields `None`. Best-effort: a
+    /// finished sweep never fails over its attribution fetch.
+    pub fn federation_stats(&mut self, missing_points: u64) -> Option<FederationStats> {
+        let v = Value::parse(&self.stats_raw().ok()?).ok()?;
+        if v.get("role").and_then(Value::as_str) != Some("coordinator") {
+            return None;
+        }
+        let num = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let text = |s: &Value, key: &str| {
+            s.get(key)
+                .and_then(Value::as_str)
+                .unwrap_or("?")
+                .to_string()
+        };
+        let shards = v
+            .get("shards")
+            .and_then(Value::as_array)
+            .unwrap_or_default()
+            .iter()
+            .map(|s| ShardStat {
+                addr: text(s, "addr"),
+                state: text(s, "state"),
+                completed: s.get("completed").and_then(Value::as_u64).unwrap_or(0),
+            })
+            .collect();
+        Some(FederationStats {
+            workers: num("workers"),
+            routable_workers: num("routable_workers"),
+            degraded: v.get("degraded").and_then(Value::as_bool).unwrap_or(false),
+            failovers: num("failovers"),
+            hedges: num("hedges"),
+            redispatches: num("redispatches"),
+            missing_points,
+            shards,
+        })
     }
 
     /// Fetch the daemon's stats document (healing the connection first

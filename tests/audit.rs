@@ -5,8 +5,8 @@
 //!    never fires (strict mode panics on the first violation, so merely
 //!    completing is the assertion), while the audited metrics stay
 //!    bit-identical to the un-probed run.
-//! 2. **Composability** — the auditor fans out with other probes via
-//!    [`FanoutProbe`] without stealing their event stream.
+//! 2. **Composability** — the auditor fans out with other probes as a
+//!    `(A, B)` pair without stealing their event stream.
 //! 3. **Sensitivity** — a deliberately corrupted event stream trips every
 //!    [`Violation`] variant at least once, so the clean-engine property
 //!    isn't passing vacuously.
@@ -15,7 +15,7 @@ use std::mem::discriminant;
 
 use dtn_epidemic::{
     protocols, simulate, simulate_probed, AuditMode, AuditProbe, CountingProbe, DropReason, Event,
-    FanoutProbe, Probe, SimConfig, Violation, Workload,
+    Probe, SimConfig, Violation, Workload,
 };
 use dtn_experiments::runner::point_sim_config;
 use dtn_experiments::{fault_grid, Mobility, SweepConfig};
@@ -62,8 +62,8 @@ fn strict_audit_is_clean_for_every_protocol_across_the_fault_grid() {
     }
 }
 
-/// Property 2: the auditor composes with an arbitrary second sink via
-/// `FanoutProbe` — both arms observe the full event stream.
+/// Property 2: the auditor composes with an arbitrary second sink as a
+/// `(A, B)` pair — both arms observe the full event stream.
 #[test]
 fn audit_composes_with_other_probes_via_fanout() {
     let trace = Mobility::Trace.build(31, 0);
@@ -71,9 +71,9 @@ fn audit_composes_with_other_probes_via_fanout() {
     let mut wl_rng = SimRng::new(3);
     let workload = Workload::single_random_flow(10, trace.node_count(), &mut wl_rng);
     let audit = AuditProbe::new(&workload, &config, trace.node_count(), AuditMode::Record);
-    let mut fanout = FanoutProbe::new(CountingProbe::default(), audit);
+    let mut fanout = (CountingProbe::default(), audit);
     simulate_probed(&trace, &workload, &config, SimRng::new(5), &mut fanout);
-    let (counter, audit) = fanout.into_parts();
+    let (counter, audit) = fanout;
     assert!(counter.events > 0, "the run produced no events at all");
     assert_eq!(
         counter.events,

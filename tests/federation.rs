@@ -9,7 +9,10 @@
 //! lost or duplicated points.
 
 use dtn_experiments::jobs::{PointJob, PointOutcome};
-use dtn_experiments::{record_supervised_point, Mobility, SweepConfig, SweepReport, TraceCache};
+use dtn_experiments::{
+    assemble_grid_report, grid_point_jobs, record_supervised_point, Mobility, SweepConfig,
+    SweepReport, TraceCache,
+};
 use dtn_service::json::Value;
 use dtn_service::{
     job_key, Client, Coordinator, CoordinatorConfig, Daemon, DaemonConfig, FaultProxy, Membership,
@@ -499,6 +502,93 @@ fn quorum_loss_drains_reachable_points_and_reports_the_rest_missing() {
         stat_u64(&stats, "failovers"),
         0,
         "degraded mode must not re-spread work onto the survivor: {stats}"
+    );
+
+    coordinator.request_shutdown();
+    coordinator.join().expect("coordinator join");
+    worker_a.request_shutdown();
+    worker_a.join().expect("worker a join");
+}
+
+#[test]
+fn a_grid_past_quorum_loss_reports_exactly_its_reachable_points() {
+    let worker_a = spawn_worker_daemon();
+    let worker_b = spawn_worker_daemon();
+    let addrs = vec![
+        worker_a.local_addr().to_string(),
+        worker_b.local_addr().to_string(),
+    ];
+    let coordinator = Coordinator::spawn(CoordinatorConfig {
+        workers: addrs.clone(),
+        heartbeat_interval_ms: 100,
+        suspect_after: 1,
+        dead_after: 2,
+        quorum: 0.6,
+        seed: 23,
+        ..CoordinatorConfig::default()
+    })
+    .expect("coordinator should bind");
+    let fed_addr = coordinator.local_addr().to_string();
+    let policy = |seed| RetryPolicy {
+        seed,
+        ..RetryPolicy::default()
+    };
+
+    // The robustness grid through the shared remote sweep, once while
+    // both workers are up, so every point is tracked on its ring owner.
+    let mobility = Mobility::Interval(2000);
+    let cfg = fed_cfg(1);
+    let points = grid_point_jobs(mobility, &cfg).expect("grid");
+    let warm = ResilientClient::new(&fed_addr, policy(7))
+        .sweep_grid(mobility, &cfg, &points, &mut |_, _, _| {})
+        .expect("clean federated grid");
+    assert!(warm.missing.is_empty());
+
+    let jobs: Vec<PointJob> = points.iter().map(|p| p.job.clone()).collect();
+    let owners = predicted_owners(&jobs, &addrs, CoordinatorConfig::default().virtual_nodes);
+    worker_b.request_shutdown();
+    worker_b.join().expect("worker b join");
+    let mut stats_client = Client::connect(&fed_addr).expect("stats connection");
+    for attempt in 0.. {
+        let stats = stats_client.stats_raw().expect("stats");
+        if stat_u64(&stats, "routable_workers") == 1 && stat_bool(&stats, "degraded") {
+            break;
+        }
+        assert!(attempt < 600, "quorum loss never detected: {stats}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+
+    let partial = ResilientClient::new(&fed_addr, policy(8))
+        .sweep_grid(mobility, &cfg, &points, &mut |_, _, _| {})
+        .expect("degraded grid must drain, not hang");
+    let dead_owned: Vec<usize> = (0..points.len()).filter(|&i| owners[i] == 1).collect();
+    assert!(
+        !dead_owned.is_empty() && dead_owned.len() < points.len(),
+        "both shards must own points for a partial grid"
+    );
+    assert_eq!(partial.missing, dead_owned);
+    let federation = partial.report.federation.as_ref().expect("attribution");
+    assert!(federation.degraded);
+    assert_eq!(federation.missing_points, dead_owned.len() as u64);
+
+    // The report is the grid assembled from exactly the reachable
+    // points, each computed locally.
+    let reachable: Vec<_> = points
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| owners[i] == 0)
+        .map(|(_, p)| p.clone())
+        .collect();
+    let cache = TraceCache::new();
+    let outcomes: Vec<PointOutcome> = reachable
+        .iter()
+        .map(|p| p.job.run(Threads::Sequential, &cache).expect("local run"))
+        .collect();
+    let expected = assemble_grid_report(mobility, &cfg, &reachable, &outcomes, 0.0);
+    assert_eq!(partial.report.points.len(), reachable.len());
+    assert_eq!(
+        partial.report.to_canonical_json(),
+        expected.to_canonical_json()
     );
 
     coordinator.request_shutdown();

@@ -15,7 +15,7 @@ use dtn_epidemic::{
     SimConfig, Workload,
 };
 use dtn_mobility::{Contact, ContactTrace, NodeId};
-use dtn_sim::{SimRng, SimTime};
+use dtn_sim::{SimDuration, SimRng, SimTime};
 
 /// Scenarios per fault arm. The issue's acceptance floor is 20; we run a
 /// few extra because small traces are cheap for both simulators.
@@ -70,10 +70,35 @@ fn faulted_plan() -> FaultPlan {
     }
 }
 
-/// Run `SCENARIOS` randomized scenarios under one fault plan, asserting
-/// engine/oracle equality for all eight paper protocols plus the Bloom
-/// summary-exchange family on each. Both simulators receive clones of
-/// the *same* RNG so their draw sequences are directly comparable.
+/// Assert engine/oracle equality on one scenario for all eight paper
+/// protocols plus the Bloom summary-exchange family, each configured by
+/// `tweak` on top of the paper defaults. Both simulators receive clones
+/// of the *same* RNG so their draw sequences are directly comparable.
+fn assert_oracle_agrees(
+    trace: &ContactTrace,
+    workload: &Workload,
+    setup: &SimRng,
+    tweak: impl Fn(&mut SimConfig),
+    what: &str,
+) {
+    for protocol in protocols::all_protocols()
+        .into_iter()
+        .chain(protocols::bloom_protocols())
+    {
+        let name = protocol.name;
+        let mut config = SimConfig::paper_defaults(protocol);
+        tweak(&mut config);
+        let sim_rng = setup.derive(2);
+        let engine = simulate(trace, workload, &config, sim_rng.clone());
+        let oracle = simulate_oracle(trace, workload, &config, sim_rng);
+        assert_eq!(
+            engine, oracle,
+            "oracle diverged from engine: {what}, protocol {name}"
+        );
+    }
+}
+
+/// Run `SCENARIOS` randomized scenarios under one fault plan.
 fn differential_sweep(plan: FaultPlan, transfer_loss: f64, tag: &str) {
     for scenario in 0..SCENARIOS {
         let mut setup = SimRng::new(0xD1FF ^ (scenario << 8));
@@ -81,21 +106,37 @@ fn differential_sweep(plan: FaultPlan, transfer_loss: f64, tag: &str) {
         let load = 3 + setup.below(8) as u32;
         let mut wl_rng = setup.derive(1);
         let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
-        for protocol in protocols::all_protocols()
-            .into_iter()
-            .chain(protocols::bloom_protocols())
-        {
-            let name = protocol.name;
-            let mut config = SimConfig::paper_defaults(protocol);
+        let tweak = |config: &mut SimConfig| {
             config.faults = plan.clone();
             config.transfer_loss_prob = transfer_loss;
-            let sim_rng = setup.derive(2);
-            let engine = simulate(&trace, &workload, &config, sim_rng.clone());
-            let oracle = simulate_oracle(&trace, &workload, &config, sim_rng);
-            assert_eq!(
-                engine, oracle,
-                "oracle diverged from engine: scenario {scenario} ({tag}), protocol {name}"
-            );
+        };
+        let what = format!("scenario {scenario} ({tag})");
+        assert_oracle_agrees(&trace, &workload, &setup, tweak, &what);
+    }
+}
+
+/// Scenarios per fault arm of [`multi_word_sweep`]; each runs three loads.
+const MULTI_WORD_SCENARIOS: u64 = 2;
+
+/// Loads past one 64-bit summary word (65), past two (130) and past the
+/// 512-bit inline block (600), so the engine's multi-word possession
+/// bitsets meet the oracle's flat scans. Transmissions take 2 s, so one
+/// contact carries hundreds of bundles, and relay buffers hold half the
+/// load, so eviction still bites.
+fn multi_word_sweep(plan: FaultPlan, tag: &str) {
+    for scenario in 0..MULTI_WORD_SCENARIOS {
+        let mut setup = SimRng::new(0x3A11 ^ (scenario << 8));
+        let trace = random_trace(&mut setup);
+        for load in [65u32, 130, 600] {
+            let mut wl_rng = setup.derive(u64::from(load));
+            let workload = Workload::single_random_flow(load, trace.node_count(), &mut wl_rng);
+            let tweak = |config: &mut SimConfig| {
+                config.faults = plan.clone();
+                config.tx_time = SimDuration::from_secs(2);
+                config.buffer_capacity = load as usize / 2;
+            };
+            let what = format!("scenario {scenario} load {load} ({tag})");
+            assert_oracle_agrees(&trace, &workload, &setup, tweak, &what);
         }
     }
 }
@@ -112,6 +153,19 @@ fn oracle_matches_engine_on_clean_random_scenarios() {
 #[test]
 fn oracle_matches_engine_under_aggressive_faults() {
     differential_sweep(faulted_plan(), 0.0, "faulted");
+}
+
+/// Summary vectors spanning several words and spilling past the inline
+/// block agree with the oracle on a clean channel.
+#[test]
+fn oracle_matches_engine_past_one_summary_word() {
+    multi_word_sweep(FaultPlan::default(), "clean");
+}
+
+/// The same multi-word loads under the full fault plan.
+#[test]
+fn oracle_matches_engine_past_one_summary_word_under_faults() {
+    multi_word_sweep(faulted_plan(), "faulted");
 }
 
 /// I.i.d. transfer loss layered on top of the fault plan: the loss draw
