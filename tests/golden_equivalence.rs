@@ -109,7 +109,8 @@ fn check(name: &str, golden: &str) {
 }
 
 /// Regenerator: prints the golden constants for all eight protocols,
-/// then the generator digests and the geometric-RWP goldens below.
+/// then the generator digests, the geometric-RWP goldens and the Bloom
+/// goldens below.
 #[test]
 #[ignore = "regenerates the golden constants; run with --ignored --nocapture"]
 fn print_goldens() {
@@ -126,6 +127,9 @@ fn print_goldens() {
         "{}",
         golden_const("GOLDEN_GEOM_RWP", &geom_rwp_fingerprint())
     );
+    for (name, spec) in BLOOM_PRESETS {
+        println!("{}", golden_const(name, &bloom_fingerprint(spec)));
+    }
 }
 
 const GOLDEN_PURE: &str = "trace r0: tb=20 dv=20 dr=3ff0000000000000 ct=410716af4bc6a7f0 abo=3fe955a4c984438b pbo=4000000000000000 adr=3fc225fc5c733fbb co=330 tx=234 ar=0 ev=116 ex=0 rj=0 ip=0 tl=0 pb=2340000000 cb=804 et=410716af4bc6a7f0
@@ -870,4 +874,145 @@ const GOLDEN_GEOM_RWP: &str = "pure r0: tb=5 dv=5 dr=3ff0000000000000 ct=40c8cf0
      cum r0: tb=5 dv=5 dr=3ff0000000000000 ct=40c901072b020c4a abo=3fb68aed4433fad1 pbo=3fe0000000000000 adr=3fd0c3228e6611d1 co=260 tx=37 ar=351 ev=0 ex=0 rj=0 ip=19 tl=0 pb=370000000 cb=5738 et=40c901072b020c4a sb=122 fp=0 sk=0 st=0 al=0 cw=0 cd=0
 \
      cum r1: tb=5 dv=5 dr=3ff0000000000000 ct=40b5ce8872b020c5 abo=3fac83459fadb57b pbo=3fe0000000000000 adr=3fc1e0180386fce1 co=109 tx=21 ar=163 ev=0 ex=0 rj=0 ip=10 tl=0 pb=210000000 cb=2667 et=40b5ce8872b020c5 sb=59 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+";
+
+// ---------------------------------------------------------------------
+// Bloom goldens.
+//
+// The four Bloom-digest presets are not paper protocols, so the goldens
+// above never run them. These pin them on the three pinned mobilities
+// at load 20, plus a load-130 point on RWP: a three-word summary
+// vector and, at fp 0.01, a 20-word digest. The fingerprint carries the
+// signaling and false-positive counters, the two numbers only the
+// digest moves. `print_goldens` prints them.
+
+const BLOOM_WIDE_LOAD: u32 = 130;
+
+const BLOOM_PRESETS: [(&str, &str); 4] = [
+    ("GOLDEN_BLOOM_1PCT", "bloom=0.01"),
+    ("GOLDEN_BLOOM_10PCT", "bloom=0.1"),
+    ("GOLDEN_BLOOMIMM_1PCT", "bloomimm=0.01"),
+    ("GOLDEN_BLOOMIMM_10PCT", "bloomimm=0.1"),
+];
+
+/// One line per (mobility, load, replication) of one Bloom preset.
+fn bloom_fingerprint(spec: &str) -> String {
+    let protocol = protocols::from_spec(spec).unwrap();
+    let cfg = pinned_config();
+    let cache = TraceCache::new();
+    let points = MOBILITIES
+        .map(|mobility| (mobility, LOAD))
+        .into_iter()
+        .chain([(Mobility::Rwp, BLOOM_WIDE_LOAD)]);
+    let mut out = String::new();
+    for (mobility, load) in points {
+        for (rep, m) in run_point_checked_cached(&protocol, mobility, load, &cfg, &cache)
+            .into_iter()
+            .map(Result::unwrap)
+            .enumerate()
+        {
+            out.push_str(&format!(
+                "{} l{load} r{rep}: {}\n",
+                mobility.label(),
+                faulted_fingerprint(&m)
+            ));
+        }
+    }
+    out
+}
+
+fn check_bloom(spec: &str, golden: &str) {
+    assert_eq!(
+        bloom_fingerprint(spec),
+        golden,
+        "{spec}: RunMetrics diverged from the golden"
+    );
+}
+
+#[test]
+fn bloom_1pct_matches_golden() {
+    check_bloom("bloom=0.01", GOLDEN_BLOOM_1PCT);
+}
+
+#[test]
+fn bloom_10pct_matches_golden() {
+    check_bloom("bloom=0.1", GOLDEN_BLOOM_10PCT);
+}
+
+#[test]
+fn bloomimm_1pct_matches_golden() {
+    check_bloom("bloomimm=0.01", GOLDEN_BLOOMIMM_1PCT);
+}
+
+#[test]
+fn bloomimm_10pct_matches_golden() {
+    check_bloom("bloomimm=0.1", GOLDEN_BLOOMIMM_10PCT);
+}
+
+const GOLDEN_BLOOM_1PCT: &str = "trace l20 r0: tb=20 dv=20 dr=3ff0000000000000 ct=410716af4bc6a7f0 abo=3fe955a4c984438b pbo=4000000000000000 adr=3fc244f053b27f75 co=330 tx=232 ar=0 ev=114 ex=0 rj=0 ip=0 tl=0 pb=2320000000 cb=6456 et=410716af4bc6a7f0 sb=6456 fp=4 sk=0 st=0 al=0 cw=0 cd=0
+\
+     trace l20 r1: tb=20 dv=20 dr=3ff0000000000000 ct=40fb3a783126e979 abo=3fe7f660cd110b5b pbo=4000000000000000 adr=3fd3b947b11919eb co=228 tx=163 ar=0 ev=53 ex=0 rj=0 ip=0 tl=0 pb=1630000000 cb=3888 et=40fb3a783126e979 sb=3888 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l20 r0: tb=20 dv=20 dr=3ff0000000000000 ct=40f939bf26e978d5 abo=3fea734e7ebb0d61 pbo=4000000000000000 adr=3fce99b1344833e8 co=1049 tx=320 ar=0 ev=200 ex=0 rj=0 ip=0 tl=0 pb=3200000000 cb=10272 et=40f939bf26e978d5 sb=10272 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l20 r1: tb=20 dv=20 dr=3ff0000000000000 ct=40f6cfcd9999999a abo=3fea53c94b56e420 pbo=4000000000000000 adr=3fc3d1722050e751 co=933 tx=270 ar=0 ev=150 ex=0 rj=0 ip=0 tl=0 pb=2700000000 cb=9432 et=40f6cfcd9999999a sb=9432 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     interval400 l20 r0: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3fead472b583745d pbo=4000000000000000 adr=3fd510683be8f0cd co=200 tx=1215 ar=0 ev=1016 ex=0 rj=0 ip=0 tl=0 pb=12150000000 cb=9600 et=40b8802fdf3b645a sb=9600 fp=15 sk=0 st=0 al=0 cw=0 cd=0
+\
+     interval400 l20 r1: tb=20 dv=20 dr=3ff0000000000000 ct=409b65fdf3b645a2 abo=3fdf3eb06b2dfab3 pbo=4000000000000000 adr=3fc99d26d55584a9 co=60 tx=273 ar=0 ev=83 ex=0 rj=0 ip=0 tl=0 pb=2730000000 cb=2808 et=409b65fdf3b645a2 sb=2808 fp=2 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l130 r0: tb=130 dv=129 dr=3fefc0fc0fc0fc10 ct=none abo=3ffe349451bd8aff pbo=402a000000000000 adr=3fb7f5edf75df1c2 co=6219 tx=1917 ar=0 ev=1688 ex=0 rj=0 ip=0 tl=0 pb=19170000000 cb=377832 et=41224f8000000000 sb=377832 fp=35 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l130 r1: tb=130 dv=129 dr=3fefc0fc0fc0fc10 ct=none abo=3ffe132a44db5f9c pbo=402a000000000000 adr=3fb77cb50da85aed co=5898 tx=1741 ar=0 ev=1512 ex=0 rj=0 ip=0 tl=0 pb=17410000000 cb=361140 et=41224f8000000000 sb=361140 fp=22 sk=0 st=0 al=0 cw=0 cd=0
+";
+
+const GOLDEN_BLOOM_10PCT: &str = "trace l20 r0: tb=20 dv=20 dr=3ff0000000000000 ct=410716af4bc6a7f0 abo=3fe94dd6b22e6833 pbo=4000000000000000 adr=3fc1be465e46e491 co=330 tx=222 ar=0 ev=104 ex=0 rj=0 ip=0 tl=0 pb=2220000000 cb=3228 et=410716af4bc6a7f0 sb=3228 fp=28 sk=0 st=0 al=0 cw=0 cd=0
+\
+     trace l20 r1: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3fee2862312fccbc pbo=4000000000000000 adr=3fdbf14d49cdef63 co=695 tx=578 ar=0 ev=459 ex=0 rj=0 ip=0 tl=0 pb=5780000000 cb=5868 et=411ffe0800000000 sb=5868 fp=112 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l20 r0: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3fef0cc8dcefcc47 pbo=4000000000000000 adr=3fe1b6d7b22ebb2b co=6219 tx=1820 ar=0 ev=1701 ex=0 rj=0 ip=0 tl=0 pb=18200000000 cb=29904 et=41224f8000000000 sb=29904 fp=634 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l20 r1: tb=20 dv=20 dr=3ff0000000000000 ct=40f6cfcd9999999a abo=3fea53c94b56e420 pbo=4000000000000000 adr=3fc3d1722050e751 co=933 tx=270 ar=0 ev=150 ex=0 rj=0 ip=0 tl=0 pb=2700000000 cb=4716 et=40f6cfcd9999999a sb=4716 fp=10 sk=0 st=0 al=0 cw=0 cd=0
+\
+     interval400 l20 r0: tb=20 dv=17 dr=3feb333333333333 ct=none abo=3feab8d305a66ed6 pbo=4000000000000000 adr=3fce4666ff4afc7e co=200 tx=1093 ar=0 ev=896 ex=0 rj=0 ip=0 tl=0 pb=10930000000 cb=4800 et=40b8802fdf3b645a sb=4800 fp=82 sk=0 st=0 al=0 cw=0 cd=0
+\
+     interval400 l20 r1: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3feb8ccb59ea0e9a pbo=4000000000000000 adr=3fd4cf06bd36bdba co=200 tx=1066 ar=0 ev=867 ex=0 rj=0 ip=0 tl=0 pb=10660000000 cb=4764 et=40b94a9020c49ba6 sb=4764 fp=91 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l130 r0: tb=130 dv=122 dr=3fee07e07e07e07e ct=none abo=3ffe349451bd8aff pbo=402a000000000000 adr=3fba822a46d4f35b co=6219 tx=1910 ar=0 ev=1688 ex=0 rj=0 ip=0 tl=0 pb=19100000000 cb=188916 et=41224f8000000000 sb=188916 fp=196 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l130 r1: tb=130 dv=119 dr=3fed4ad4ad4ad4ad ct=none abo=3ffe132a44db5f9c pbo=402a000000000000 adr=3fbc6ff8f03cf1a5 co=5898 tx=1731 ar=0 ev=1512 ex=0 rj=0 ip=0 tl=0 pb=17310000000 cb=180492 et=41224f8000000000 sb=180492 fp=346 sk=0 st=0 al=0 cw=0 cd=0
+";
+
+const GOLDEN_BLOOMIMM_1PCT: &str = "trace l20 r0: tb=20 dv=20 dr=3ff0000000000000 ct=40f75c16189374bc abo=3fd699849f2344ed pbo=4000000000000000 adr=3fd199ac9e302669 co=199 tx=99 ar=3309 ev=0 ex=0 rj=0 ip=82 tl=0 pb=990000000 cb=57168 et=40f75c16189374bc sb=4224 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     trace l20 r1: tb=20 dv=20 dr=3ff0000000000000 ct=40f7629276c8b439 abo=3fd7bdeba79bc440 pbo=4000000000000000 adr=3fd843a0b5efca50 co=200 tx=119 ar=3574 ev=0 ex=0 rj=0 ip=97 tl=0 pb=1190000000 cb=61144 et=40f7629276c8b439 sb=3960 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l20 r0: tb=20 dv=20 dr=3ff0000000000000 ct=40e85abb0a3d70a4 abo=3fda99ad31c861b7 pbo=4000000000000000 adr=3fd8828ef2d3846b co=512 tx=133 ar=8041 ev=0 ex=0 rj=0 ip=112 tl=0 pb=1330000000 cb=135352 et=40e85abb0a3d70a4 sb=6696 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l20 r1: tb=20 dv=20 dr=3ff0000000000000 ct=40ee919d374bc6a8 abo=3fd5d7373f921de0 pbo=4000000000000000 adr=3fd07431a2604543 co=636 tx=146 ar=10279 ev=0 ex=0 rj=0 ip=137 tl=0 pb=1460000000 cb=172168 et=40ee919d374bc6a8 sb=7704 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     interval400 l20 r0: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3fe0848a3286941d pbo=4000000000000000 adr=3fe419c10226dbf6 co=200 tx=577 ar=3263 ev=318 ex=0 rj=0 ip=241 tl=0 pb=5770000000 cb=61808 et=40b8802fdf3b645a sb=9600 fp=17 sk=0 st=0 al=0 cw=0 cd=0
+\
+     interval400 l20 r1: tb=20 dv=20 dr=3ff0000000000000 ct=409b65fdf3b645a2 abo=3fdf813f929a0182 pbo=4000000000000000 adr=3fcb282943148a42 co=60 tx=272 ar=59 ev=63 ex=0 rj=0 ip=28 tl=0 pb=2720000000 cb=3776 et=409b65fdf3b645a2 sb=2832 fp=2 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l130 r0: tb=130 dv=128 dr=3fef81f81f81f820 ct=none abo=3ff82b92e5bdeeb9 pbo=402a000000000000 adr=3fe348226b4d9d5f co=6219 tx=837 ar=1201916 ev=43 ex=0 rj=0 ip=774 tl=0 pb=8370000000 cb=19756844 et=41224f8000000000 sb=526188 fp=406 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l130 r1: tb=130 dv=127 dr=3fef42f42f42f42f ct=none abo=3ff82077ceb33264 pbo=402a000000000000 adr=3fe31a45e8708a9f co=5898 tx=741 ar=1157339 ev=0 ex=0 rj=0 ip=711 tl=0 pb=7410000000 cb=19015376 et=41224f8000000000 sb=497952 fp=647 sk=0 st=0 al=0 cw=0 cd=0
+";
+
+const GOLDEN_BLOOMIMM_10PCT: &str = "trace l20 r0: tb=20 dv=20 dr=3ff0000000000000 ct=40f75c16189374bc abo=3fd699849f2344ed pbo=4000000000000000 adr=3fd199ac9e302669 co=199 tx=99 ar=3309 ev=0 ex=0 rj=0 ip=82 tl=0 pb=990000000 cb=55056 et=40f75c16189374bc sb=2112 fp=0 sk=0 st=0 al=0 cw=0 cd=0
+\
+     trace l20 r1: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3fd2eeac1a1d060f pbo=4000000000000000 adr=3fe9186759fab68d co=695 tx=122 ar=22361 ev=0 ex=0 rj=0 ip=112 tl=0 pb=1220000000 cb=365708 et=411ffe0800000000 sb=7932 fp=39 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l20 r0: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3fd2bd5861fbe12e pbo=4000000000000000 adr=3febd74bac1a0773 co=6219 tx=139 ar=224875 ev=0 ex=0 rj=0 ip=129 tl=0 pb=1390000000 cb=3642652 et=41224f8000000000 sb=44652 fp=265 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l20 r1: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3fd27ad8b6c1343b pbo=4000000000000000 adr=3feb5b4faf9d8b2f co=5898 tx=142 ar=210383 ev=0 ex=0 rj=0 ip=132 tl=0 pb=1420000000 cb=3407408 et=41224f8000000000 sb=41280 fp=270 sk=0 st=0 al=0 cw=0 cd=0
+\
+     interval400 l20 r0: tb=20 dv=17 dr=3feb333333333333 ct=none abo=3fe27c0336feb46e pbo=4000000000000000 adr=3fe29aa9e9142cf2 co=200 tx=573 ar=2983 ev=299 ex=0 rj=0 ip=220 tl=0 pb=5730000000 cb=52528 et=40b8802fdf3b645a sb=4800 fp=62 sk=0 st=0 al=0 cw=0 cd=0
+\
+     interval400 l20 r1: tb=20 dv=19 dr=3fee666666666666 ct=none abo=3fdba3c8fc121a90 pbo=4000000000000000 adr=3fe735a9085af25a co=200 tx=366 ar=4479 ev=102 ex=0 rj=0 ip=246 tl=0 pb=3660000000 cb=76440 et=40b94a9020c49ba6 sb=4776 fp=39 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l130 r0: tb=130 dv=118 dr=3fed0bd0bd0bd0bd ct=none abo=3ffe70b7886477e1 pbo=402a000000000000 adr=3fe09e6cff9e7ae4 co=6219 tx=1812 ar=1122456 ev=1061 ex=0 rj=0 ip=651 tl=0 pb=18120000000 cb=18165840 et=41224f8000000000 sb=206544 fp=1971 sk=0 st=0 al=0 cw=0 cd=0
+\
+     rwp l130 r1: tb=130 dv=119 dr=3fed4ad4ad4ad4ad ct=none abo=3ffe792b05e406c3 pbo=402a000000000000 adr=3fe2261bcd3b713a co=5898 tx=1593 ar=1093155 ev=903 ex=0 rj=0 ip=590 tl=0 pb=15930000000 cb=17691642 et=41224f8000000000 sb=201162 fp=2144 sk=0 st=0 al=0 cw=0 cd=0
 ";
