@@ -31,7 +31,7 @@ use crate::metrics::{DropReason, MetricsCollector};
 use crate::node::{CopyPlace, Node};
 use crate::policy::{AckScheme, LifetimePolicy, ProtocolConfig, SummaryPolicy};
 use crate::probe::{Event, NullProbe, Probe};
-use crate::summary::{bloom_params, BloomFilter, SummaryVector};
+use crate::summary::{BloomTable, SummaryVector};
 use dtn_mobility::Contact;
 use dtn_sim::{SimRng, SimTime};
 
@@ -126,9 +126,12 @@ pub struct SessionScratch {
     /// exact; under a Bloom summary policy this is the engine-side ground
     /// truth that false positives are detected against).
     rx_summary: SummaryVector,
-    /// The receiver's advertised Bloom digest (unused under
+    /// Every bundle's Bloom bit positions, built by the run's first
+    /// contact under a [`SummaryPolicy::Bloom`] policy (unused under
     /// [`SummaryPolicy::Exact`]).
-    rx_bloom: BloomFilter,
+    bloom: BloomTable,
+    /// The words of the receiver's advertised Bloom digest.
+    digest: Vec<u64>,
     /// Transfer candidates destined to the receiver.
     dest: Vec<BundleId>,
     /// Transfer candidates bound for another relay hop.
@@ -293,45 +296,83 @@ pub fn run_contact<P: Probe>(
             slots_lost,
         });
     }
-    let mut slots_used: u64 = 0;
-    let mut advert_bytes: u64 = 0;
-    // Bloom digests are charged against the contact's capacity through a
-    // byte debt shared by both phases: whole `bundle_bytes` of accumulated
-    // signaling forfeit one transfer slot. Exact summary vectors keep the
-    // seed semantics (metered on the wire, not capacity-charged).
-    let mut signal_debt: u64 = 0;
-    let mut fp_count: u64 = 0;
-    // Lower ID first — `Contact` normalizes a < b.
-    transfer_phase(
-        a,
-        b,
-        now,
-        &mut slots_left,
-        &mut slots_used,
-        &mut advert_bytes,
-        &mut signal_debt,
-        &mut fp_count,
-        ctx,
-    );
-    transfer_phase(
-        b,
-        a,
-        now,
-        &mut slots_left,
-        &mut slots_used,
-        &mut advert_bytes,
-        &mut signal_debt,
-        &mut fp_count,
-        ctx,
-    );
+    let mut tally = ContactTally {
+        slots_left,
+        ..ContactTally::default()
+    };
+    // Lower ID first — `Contact` normalizes a < b. Each summary policy
+    // runs its own instance of the phase, so the exact one carries no
+    // digest code.
+    match ctx.config.protocol.summary {
+        SummaryPolicy::Exact => {
+            transfer_phase::<P, false>(a, b, now, &mut tally, ctx);
+            transfer_phase::<P, false>(b, a, now, &mut tally, ctx);
+        }
+        SummaryPolicy::Bloom { fp_rate } => {
+            ctx.scratch
+                .bloom
+                .prepare(ctx.workload.total_bundles(), fp_rate);
+            transfer_phase::<P, true>(a, b, now, &mut tally, ctx);
+            transfer_phase::<P, true>(b, a, now, &mut tally, ctx);
+        }
+    }
     ctx.emit(|| Event::ContactEnd {
         a: contact.a.index() as u32,
         b: contact.b.index() as u32,
         t: now.as_millis(),
-        slots_used,
-        control_bytes: advert_bytes,
-        false_positives: fp_count,
+        slots_used: tally.slots_used,
+        control_bytes: tally.advert_bytes,
+        false_positives: tally.fp_count,
     });
+}
+
+/// The transfer bookkeeping both directions of one contact share.
+#[derive(Default)]
+struct ContactTally {
+    /// Transfer slots still free.
+    slots_left: u64,
+    /// Slots spent on transfers and on Bloom capacity charges.
+    slots_used: u64,
+    /// Advert bytes sent (kept for the probe only).
+    advert_bytes: u64,
+    /// Bloom digest bytes not yet charged as a whole slot. Bloom digests
+    /// are charged against the contact's capacity through this debt:
+    /// whole `bundle_bytes` of accumulated signaling forfeit one transfer
+    /// slot. Exact summary vectors keep the seed semantics (metered on
+    /// the wire, not capacity-charged).
+    signal_debt: u64,
+    /// False positives (kept for the probe only).
+    fp_count: u64,
+}
+
+/// The receiver's Bloom digest for one transfer phase, built from its
+/// summary vector by the first probe, so a phase with nothing to offer
+/// builds none.
+struct LazyDigest {
+    words: Vec<u64>,
+    built: bool,
+}
+
+impl LazyDigest {
+    /// Does the digest claim bundle `idx`? `rx_summary` is the receiver's
+    /// membership so far, which the digest is built from on first use.
+    #[inline]
+    fn contains(&mut self, table: &BloomTable, rx_summary: &SummaryVector, idx: usize) -> bool {
+        if !self.built {
+            table.fill(&mut self.words, rx_summary);
+            self.built = true;
+        }
+        table.contains(&self.words, idx)
+    }
+
+    /// A copy landed: the advert the sender holds now claims it too. An
+    /// unbuilt digest picks it up from the summary vector when built.
+    #[inline]
+    fn insert(&mut self, table: &BloomTable, idx: usize) {
+        if self.built {
+            table.insert(&mut self.words, idx);
+        }
+    }
 }
 
 /// Exchange and merge immunity stores, purge covered copies, and charge
@@ -461,19 +502,17 @@ fn push_word_ids(ids: &[BundleId], wi: usize, mut bits: u64, out: &mut Vec<Bundl
 }
 
 /// One direction of the exchange: `tx` sends to `rx` while capacity lasts.
-#[allow(clippy::too_many_arguments)]
-fn transfer_phase<P: Probe>(
+/// `BLOOM` is the summary policy: the receiver advertises a Bloom digest
+/// through `ctx.scratch.bloom` (prepared by [`run_contact`]) instead of
+/// its exact summary vector.
+fn transfer_phase<P: Probe, const BLOOM: bool>(
     tx: &mut Node,
     rx: &mut Node,
     now: SimTime,
-    slots_left: &mut u64,
-    slots_used: &mut u64,
-    advert_bytes: &mut u64,
-    signal_debt: &mut u64,
-    fp_count: &mut u64,
+    tally: &mut ContactTally,
     ctx: &mut SessionCtx<'_, P>,
 ) {
-    if *slots_left == 0 {
+    if tally.slots_left == 0 {
         return;
     }
     // Snapshot the candidate list: bundles the receiver lacks.
@@ -494,64 +533,66 @@ fn transfer_phase<P: Probe>(
     //   per contact, a fixed order would let the head of the list
     //   monopolize transmissions (and the TTL renewals they grant) while
     //   the tail starves.
-    // The receiver advertises its summary vector once; membership checks
-    // against it are O(1) and it is updated as transfers land. The
-    // advertisement costs one bit per workload bundle on the wire.
+    // The receiver advertises its summary once, and the sender's view of
+    // it is updated as transfers land. An exact summary vector costs one
+    // bit per workload bundle on the wire. A Bloom digest costs its `m`
+    // bits (Marandi's m/k optimization for the workload's bundle count at
+    // the configured FP target) and claims every bundle the receiver has
+    // plus some it lacks — the false positives, never offered.
     //
-    // The vector and the two candidate lists are scratch taken out of the
-    // context (and restored at the end), so a phase allocates nothing.
-    // Candidates are split into the two priority classes during the single
-    // scan of the sender's stores and each class is sorted on its own —
-    // candidate ids are distinct (the summary-vector filter excludes
-    // duplicates), so this equals the seed's sort-then-stable-partition
-    // both in membership and in order.
-    let mut rx_summary = std::mem::take(&mut ctx.scratch.rx_summary);
-    rx_summary.refill_from_node(rx, ctx.workload);
-    let mut rx_bloom = std::mem::take(&mut ctx.scratch.rx_bloom);
-    let bloom = match ctx.config.protocol.summary {
-        SummaryPolicy::Exact => false,
-        SummaryPolicy::Bloom { fp_rate } => {
-            // The wire digest: the receiver's true membership hashed into
-            // a Bloom filter sized by Marandi's m/k optimization for the
-            // workload's bundle count at the configured FP target.
-            rx_bloom.reset(bloom_params(ctx.workload.total_bundles(), fp_rate));
-            for wi in 0..rx_summary.word_count() {
-                let mut w = rx_summary.word(wi);
-                while w != 0 {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    rx_bloom.insert((wi * 64 + bit) as u64);
-                }
-            }
-            true
-        }
-    };
-    let advert = if bloom {
-        rx_bloom.wire_bytes()
+    // Both policies scan the same candidates, the sender's copies outside
+    // the receiver's summary vector: a bundle the receiver has is in its
+    // digest too and cannot be a false positive. Under Bloom each
+    // candidate is then probed against the digest, built from the
+    // summary vector by the first probe.
+    //
+    // The vector, the digest words and the two candidate lists are
+    // scratch taken out of the context (and restored at the end), so a
+    // phase allocates nothing. Candidates are split into the two priority
+    // classes during the single scan of the sender's stores and each
+    // class is sorted on its own — candidate ids are distinct (the
+    // summary-vector filter excludes duplicates), so this equals the
+    // seed's sort-then-stable-partition both in membership and in order.
+    let advert = if BLOOM {
+        ctx.scratch.bloom.params().wire_bytes()
     } else {
-        u64::from(rx_summary.capacity()).div_ceil(8)
+        u64::from(ctx.workload.total_bundles()).div_ceil(8)
     };
     ctx.metrics.control_bytes_sent += advert;
     ctx.metrics.signaling_bytes += advert;
     if P::ENABLED {
-        *advert_bytes += advert;
+        tally.advert_bytes += advert;
     }
-    if bloom && ctx.config.bundle_bytes > 0 {
+    if BLOOM && ctx.config.bundle_bytes > 0 {
         // Capacity charge: every whole bundle's worth of digest bytes
         // forfeits one transfer slot. The debt persists across both
         // phases so fractional adverts still add up.
-        *signal_debt += advert;
-        while *signal_debt >= ctx.config.bundle_bytes && *slots_left > 0 {
-            *signal_debt -= ctx.config.bundle_bytes;
-            *slots_left -= 1;
-            *slots_used += 1;
+        tally.signal_debt += advert;
+        while tally.signal_debt >= ctx.config.bundle_bytes && tally.slots_left > 0 {
+            tally.signal_debt -= ctx.config.bundle_bytes;
+            tally.slots_left -= 1;
+            tally.slots_used += 1;
         }
-        if *slots_left == 0 {
-            ctx.scratch.rx_summary = rx_summary;
-            ctx.scratch.rx_bloom = rx_bloom;
+        if tally.slots_left == 0 {
             return;
         }
     }
+    // A sender that stores nothing has nothing to offer once the advert
+    // is out (common under the TTL policies, whose buffers drain).
+    if tx.occupancy_count() == 0 {
+        return;
+    }
+    let mut rx_summary = std::mem::take(&mut ctx.scratch.rx_summary);
+    rx_summary.refill_from_node(rx, ctx.workload);
+    let mut digest = LazyDigest {
+        words: if BLOOM {
+            std::mem::take(&mut ctx.scratch.digest)
+        } else {
+            Vec::new()
+        },
+        built: false,
+    };
+    let mut false_positives: u64 = 0;
     let mut dest = std::mem::take(&mut ctx.scratch.dest);
     let mut relay = std::mem::take(&mut ctx.scratch.relay);
     dest.clear();
@@ -567,53 +608,38 @@ fn transfer_phase<P: Probe>(
     if let (false, Some(copies), Some(mask)) =
         (ids.is_empty(), tx.bits.copy_plane(), dest_masks.get(rxi))
     {
-        if bloom {
-            for wi in 0..copies.word_count() {
-                let mut cand = copies.word(wi);
-                while cand != 0 {
-                    let bit = cand.trailing_zeros() as usize;
-                    cand &= cand - 1;
-                    let idx = wi * 64 + bit;
-                    if rx_bloom.contains(idx as u64) {
-                        if !rx_summary.contains(idx) {
-                            // The digest lied: the receiver lacks this
-                            // bundle but the sender will never offer it.
-                            ctx.metrics.false_positive_transmissions += 1;
-                            *fp_count += 1;
-                        }
-                        continue;
-                    }
-                    if mask.contains(idx) {
-                        dest.push(ids[idx]);
-                    } else {
-                        relay.push(ids[idx]);
+        for wi in 0..copies.word_count() {
+            let mut cand = copies.word(wi) & !rx_summary.word(wi);
+            if cand == 0 {
+                continue;
+            }
+            if BLOOM {
+                let mut probe = cand;
+                while probe != 0 {
+                    let bit = probe.trailing_zeros();
+                    probe &= probe - 1;
+                    let idx = wi * 64 + bit as usize;
+                    if digest.contains(&ctx.scratch.bloom, &rx_summary, idx) {
+                        // The digest lied: the receiver lacks this bundle
+                        // but the sender will never offer it.
+                        cand &= !(1 << bit);
+                        false_positives += 1;
                     }
                 }
             }
-        } else {
-            for wi in 0..copies.word_count() {
-                let cand = copies.word(wi) & !rx_summary.word(wi);
-                if cand == 0 {
-                    continue;
-                }
-                let mask_word = mask.word(wi);
-                push_word_ids(&ids, wi, cand & mask_word, &mut dest);
-                push_word_ids(&ids, wi, cand & !mask_word, &mut relay);
-            }
+            let mask_word = mask.word(wi);
+            push_word_ids(&ids, wi, cand & mask_word, &mut dest);
+            push_word_ids(&ids, wi, cand & !mask_word, &mut relay);
         }
     } else {
         for (copy, _) in tx.copies() {
             let id = copy.id;
             let idx = ctx.workload.bundle_index(id);
-            if bloom {
-                if rx_bloom.contains(idx as u64) {
-                    if !rx_summary.contains(idx) {
-                        ctx.metrics.false_positive_transmissions += 1;
-                        *fp_count += 1;
-                    }
-                    continue;
-                }
-            } else if rx_summary.contains(idx) {
+            if rx_summary.contains(idx) {
+                continue;
+            }
+            if BLOOM && digest.contains(&ctx.scratch.bloom, &rx_summary, idx) {
+                false_positives += 1;
                 continue;
             }
             if ctx.workload.flow(id.flow).dst == rx.id {
@@ -633,7 +659,7 @@ fn transfer_phase<P: Probe>(
     }
 
     for &id in dest.iter().chain(relay.iter()) {
-        if *slots_left == 0 {
+        if tally.slots_left == 0 {
             break;
         }
         let flow = ctx.workload.flow(id.flow);
@@ -653,33 +679,24 @@ fn transfer_phase<P: Probe>(
         if !tx_has {
             continue;
         }
-        let rx_known = if bloom {
-            // The sender only knows the digest; stores earlier in this
-            // session inserted into it, which can mint fresh false
-            // positives for unrelated candidates.
-            if rx_bloom.contains(idx as u64) {
-                if !rx_summary.contains(idx) {
-                    ctx.metrics.false_positive_transmissions += 1;
-                    *fp_count += 1;
-                }
-                true
-            } else {
-                false
-            }
-        } else {
-            rx_summary.contains(idx)
-        };
-        if rx_known {
+        if rx_summary.contains(idx) {
+            continue;
+        }
+        // The sender only knows the digest; stores earlier in this
+        // session inserted into it, which can mint fresh false positives
+        // for unrelated candidates.
+        if BLOOM && digest.contains(&ctx.scratch.bloom, &rx_summary, idx) {
+            false_positives += 1;
             continue;
         }
 
-        *slots_left -= 1;
-        *slots_used += 1;
+        tally.slots_left -= 1;
+        tally.slots_used += 1;
         ctx.metrics.bundle_transmissions += 1;
         ctx.metrics.payload_bytes_sent += ctx.config.bundle_bytes;
         // The transfer occupies one `tx_time` slot; its completion stamps
         // the delivery time.
-        let completed_at = now + ctx.config.tx_time * *slots_used;
+        let completed_at = now + ctx.config.tx_time * tally.slots_used;
 
         // Sender-side updates: EC increment, TTL renewal / EC-TTL.
         // Lifetime policies govern *relay* copies only: "once they are
@@ -756,20 +773,29 @@ fn transfer_phase<P: Probe>(
         };
         if rx_has {
             rx_summary.insert(idx);
-            if bloom {
-                rx_bloom.insert(idx as u64);
+            if BLOOM {
+                digest.insert(&ctx.scratch.bloom, idx);
             }
         }
     }
 
+    if BLOOM {
+        ctx.metrics.false_positive_transmissions += false_positives;
+        tally.fp_count += false_positives;
+        ctx.scratch.digest = digest.words;
+    }
     ctx.scratch.rx_summary = rx_summary;
-    ctx.scratch.rx_bloom = rx_bloom;
     ctx.scratch.dest = dest;
     ctx.scratch.relay = relay;
 }
 
 /// The bundle reached its destination: record the delivery, update the
 /// destination's immunity store under the active ack scheme.
+///
+/// Always inlined, like [`store_relay_copy`]: each has one call site, but
+/// in both instances of [`transfer_phase`], and out of line the call
+/// slows every exact-summary protocol's transfers.
+#[inline(always)]
 fn deliver<P: Probe>(
     rx: &mut Node,
     id: BundleId,
@@ -824,6 +850,7 @@ fn deliver<P: Probe>(
 
 /// Store an incoming relay copy, applying the receiver-side lifetime policy
 /// and the buffer's eviction policy.
+#[inline(always)]
 fn store_relay_copy<P: Probe>(
     rx: &mut Node,
     id: BundleId,

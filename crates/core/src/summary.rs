@@ -214,7 +214,7 @@ impl SummaryVector {
 /// expected `n` set members and target false-positive rate `p`,
 /// `m = ⌈−n·ln p ⁄ (ln 2)²⌉` and `k = round((m/n)·ln 2)`, each clamped to
 /// at least 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BloomParams {
     /// Bit-array size `m`.
     pub m_bits: u64,
@@ -234,6 +234,17 @@ impl BloomParams {
         let k = f64::from(self.k);
         let exponent = -k * f64::from(n) / self.m_bits as f64;
         (1.0 - exponent.exp()).powf(k)
+    }
+
+    /// The `k` bit positions of `member`: `(h1 + i·h2) mod m` for
+    /// `i` in `0..k` over the [`bloom_lanes`] pair. The one position
+    /// function of the engine: [`BloomFilter`] probes through it and
+    /// [`BloomTable`] tabulates it.
+    #[inline]
+    pub(crate) fn positions(self, member: u64) -> impl Iterator<Item = u64> {
+        let (h1, h2) = bloom_lanes(member);
+        let m = self.m_bits;
+        (0..u64::from(self.k)).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % m)
     }
 }
 
@@ -327,17 +338,10 @@ impl BloomFilter {
         }
     }
 
-    /// Digest size on the wire, in bytes.
-    pub fn wire_bytes(&self) -> u64 {
-        self.params().wire_bytes()
-    }
-
     /// Insert a member.
     #[inline]
     pub fn insert(&mut self, member: u64) {
-        let (h1, h2) = bloom_lanes(member);
-        for i in 0..u64::from(self.k) {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.m_bits;
+        for bit in self.params().positions(member) {
             self.words[(bit / 64) as usize] |= 1 << (bit % 64);
         }
     }
@@ -346,11 +350,9 @@ impl BloomFilter {
     /// roughly the configured rate.
     #[inline]
     pub fn contains(&self, member: u64) -> bool {
-        let (h1, h2) = bloom_lanes(member);
-        (0..u64::from(self.k)).all(|i| {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.m_bits;
-            self.words[(bit / 64) as usize] & (1 << (bit % 64)) != 0
-        })
+        self.params()
+            .positions(member)
+            .all(|bit| self.words[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
     }
 
     /// Word-parallel union: afterwards `self` contains (at least)
@@ -376,15 +378,111 @@ impl BloomFilter {
 impl Default for BloomFilter {
     /// A degenerate empty-geometry filter (`k = 0`, no words): `insert`
     /// is a no-op and `contains` vacuously true. Callers
-    /// [`reset`](BloomFilter::reset) scratch filters to a real geometry
-    /// before use; the point of this shape is that constructing it is
-    /// allocation-free — `std::mem::take` on scratch filters sits on the
-    /// session hot path.
+    /// [`reset`](BloomFilter::reset) it to a real geometry before use;
+    /// constructing it allocates nothing.
     fn default() -> BloomFilter {
         BloomFilter {
             m_bits: 0,
             k: 0,
             words: Vec::new(),
+        }
+    }
+}
+
+/// Every bundle's Bloom bit positions under one run's geometry, so the
+/// session never hashes: bundle `idx` owns `positions[idx·k .. idx·k + k]`,
+/// the bits [`BloomParams::positions`] gives it. Built once per run from
+/// the workload's bundle count and the FP target, at `k` × 4 bytes per
+/// bundle.
+///
+/// A digest is a plain word array (`m` bits, rounded up to whole words
+/// for storage only) that [`insert`](BloomTable::insert) and
+/// [`contains`](BloomTable::contains) address through the table; after
+/// the same inserts it holds exactly the bits a [`BloomFilter`] of this
+/// geometry holds.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BloomTable {
+    /// Bundle count the table was built for.
+    total: u32,
+    /// FP target the table was built for.
+    fp_rate: f64,
+    /// The geometry; `k = 0` until the first [`prepare`](BloomTable::prepare).
+    params: BloomParams,
+    /// `k` positions per bundle, in dense-index order.
+    positions: Vec<u32>,
+}
+
+impl BloomTable {
+    /// Build the table for `total` bundles at `fp_rate`, unless it already
+    /// holds that geometry. Like [`SummaryVector::reset`], a rebuild does
+    /// not keep a larger previous allocation.
+    pub(crate) fn prepare(&mut self, total: u32, fp_rate: f64) {
+        if self.params.k != 0 && self.total == total && self.fp_rate == fp_rate {
+            return;
+        }
+        let params = bloom_params(total, fp_rate);
+        assert!(
+            params.m_bits <= 1 << 32,
+            "bloom geometry of {} bits does not fit 32-bit positions",
+            params.m_bits
+        );
+        let len = total as usize * params.k as usize;
+        self.positions.clear();
+        self.positions.shrink_to(len);
+        self.positions.reserve_exact(len);
+        for idx in 0..u64::from(total) {
+            self.positions
+                .extend(params.positions(idx).map(|bit| bit as u32));
+        }
+        self.total = total;
+        self.fp_rate = fp_rate;
+        self.params = params;
+    }
+
+    /// The table's geometry.
+    pub(crate) fn params(&self) -> BloomParams {
+        self.params
+    }
+
+    /// Words a digest of this geometry spans.
+    pub(crate) fn digest_words(&self) -> usize {
+        self.params.m_bits.div_ceil(64) as usize
+    }
+
+    #[inline]
+    fn of(&self, idx: usize) -> &[u32] {
+        let k = self.params.k as usize;
+        &self.positions[idx * k..idx * k + k]
+    }
+
+    /// Set bundle `idx`'s bits in `digest`.
+    #[inline]
+    pub(crate) fn insert(&self, digest: &mut [u64], idx: usize) {
+        for &bit in self.of(idx) {
+            digest[(bit / 64) as usize] |= 1 << (bit % 64);
+        }
+    }
+
+    /// Are all of bundle `idx`'s bits set in `digest`?
+    #[inline]
+    pub(crate) fn contains(&self, digest: &[u64], idx: usize) -> bool {
+        self.of(idx)
+            .iter()
+            .all(|&bit| digest[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
+    }
+
+    /// Refill `digest` with the OR of the positions of every member of
+    /// `members`, reusing its allocation.
+    pub(crate) fn fill(&self, digest: &mut Vec<u64>, members: &SummaryVector) {
+        digest.clear();
+        digest.resize(self.digest_words(), 0);
+        for wi in 0..members.word_count() {
+            let mut w = members.word(wi);
+            while w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                self.insert(digest, wi * 64 + bit);
+            }
         }
     }
 }
@@ -642,10 +740,68 @@ mod tests {
         a.union_with(&b);
     }
 
+    /// Every load the table must cover: one bundle, sub-word, the
+    /// paper's maximum, the one- and two-word boundary, and a spilled
+    /// summary vector.
+    const TABLE_LOADS: [u32; 6] = [1, 5, 50, 64, 65, 600];
+    const TABLE_FP_RATES: [f64; 3] = [0.01, 0.1, 0.5];
+
+    #[test]
+    fn table_sets_exactly_the_bits_the_filter_sets() {
+        let mut table = BloomTable::default();
+        for total in TABLE_LOADS {
+            for fp in TABLE_FP_RATES {
+                table.prepare(total, fp);
+                assert_eq!(table.params(), bloom_params(total, fp));
+                for idx in 0..total as usize {
+                    let mut filter = BloomFilter::new(table.params());
+                    filter.insert(idx as u64);
+                    let mut digest = vec![0; table.digest_words()];
+                    table.insert(&mut digest, idx);
+                    assert_eq!(digest, filter.words, "load {total}, fp {fp}, bundle {idx}");
+                }
+            }
+        }
+        // A smaller geometry does not keep the larger table's allocation.
+        table.prepare(5, 0.5);
+        assert_eq!(table.positions.capacity(), table.positions.len());
+    }
+
+    #[test]
+    fn digest_agrees_with_the_filter_on_random_member_sets() {
+        let mut rng = dtn_sim::SimRng::new(0xB1004);
+        let mut table = BloomTable::default();
+        let mut digest = Vec::new();
+        for total in TABLE_LOADS {
+            for fp in TABLE_FP_RATES {
+                table.prepare(total, fp);
+                for density in [0.05, 0.3, 0.9] {
+                    let mut members = SummaryVector::empty(total);
+                    let mut filter = BloomFilter::new(table.params());
+                    for idx in 0..total as usize {
+                        if rng.bernoulli(density) {
+                            members.insert(idx);
+                            filter.insert(idx as u64);
+                        }
+                    }
+                    table.fill(&mut digest, &members);
+                    assert_eq!(digest, filter.words, "load {total}, fp {fp}");
+                    for idx in 0..total as usize {
+                        assert_eq!(
+                            table.contains(&digest, idx),
+                            filter.contains(idx as u64),
+                            "load {total}, fp {fp}, bundle {idx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn bloom_reset_releases_stale_capacity() {
-        // Same policy as SummaryVector::reset: scratch digests reused
-        // across runs must not pin their largest-ever allocation.
+        // Same policy as SummaryVector::reset: a filter reused across
+        // geometries must not pin its largest-ever allocation.
         let mut bf = BloomFilter::for_expected(100_000, 0.001);
         let large_words = bf.words.len();
         assert!(large_words > 1_000);

@@ -218,23 +218,29 @@ pub fn point_from_line(line: &str) -> Result<(String, PointOutcome), String> {
     ))
 }
 
-/// The manifest (first) line of a checkpoint file. The watchdog
-/// configuration is part of it: retried replications run on salted RNG
-/// streams and timed-out replications carry no metrics, so resuming
-/// under a different supervision policy would silently mix
-/// incomparable results.
+/// The manifest (first) line of a checkpoint file: every setting a
+/// finished point's outcome depends on. The buffer capacity and the
+/// transmission time change the simulation itself, and the audit flag
+/// decides whether a point's violations were looked for at all. The
+/// watchdog configuration is part of it too: retried replications run
+/// on salted RNG streams and timed-out replications carry no metrics.
+/// Resuming under any other value would silently mix incomparable
+/// results.
 fn manifest_line(mobility: Mobility, cfg: &SweepConfig) -> String {
+    let or_null = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |v| v.to_string());
     format!(
         "{{\"ckpt\":\"robustness\",\"mobility\":\"{}\",\"base_seed\":{},\"replications\":{},\
-         \"loads\":{:?},\"retries\":{},\"timeout_secs\":{}}}",
+         \"loads\":{:?},\"buffer_capacity\":{},\"tx_time_secs\":{},\"audit\":{},\
+         \"retries\":{},\"timeout_secs\":{}}}",
         escape(&mobility.label()),
         cfg.base_seed,
         cfg.replications,
         cfg.loads,
+        cfg.buffer_capacity,
+        or_null(cfg.tx_time_secs),
+        cfg.audit,
         cfg.retries,
-        cfg.point_timeout_secs
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "null".into()),
+        or_null(cfg.point_timeout_secs),
     )
 }
 
@@ -251,7 +257,8 @@ fn load_checkpoint(path: &Path, mobility: Mobility, cfg: &SweepConfig) -> Result
     if manifest.trim() != expected {
         return Err(format!(
             "checkpoint manifest mismatch\n  found:    {manifest}\n  expected: {expected}\n\
-             (resume requires the same mobility, seed, replications and loads)"
+             (resume requires the same mobility, seed, replications, loads, buffer, \
+             tx time, audit, retries and point timeout)"
         ));
     }
     let mut done = HashMap::new();
@@ -621,7 +628,9 @@ mod tests {
         // Written by the prefix-matching decoder's release: a clean
         // point, one whose second replication panicked twice with a
         // message full of JSON specials, one that timed out, and a
-        // faulted cell's point.
+        // faulted cell's point. Its manifest predates the buffer, tx-time
+        // and audit fields, so a resume refuses it, settings matching or
+        // not; its point lines still decode.
         let fixture = include_str!("../../../tests/fixtures/robustness.ckpt");
         let cfg = SweepConfig {
             loads: vec![5],
@@ -630,13 +639,13 @@ mod tests {
             point_timeout_secs: Some(1),
             ..SweepConfig::default()
         };
-        let mut lines = fixture.lines();
-        assert_eq!(
-            lines.next(),
-            Some(manifest_line(Mobility::Interval(2000), &cfg).as_str())
-        );
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/robustness.ckpt");
+        let err = load_checkpoint(&path, Mobility::Interval(2000), &cfg)
+            .expect_err("an old manifest must be refused");
+        assert!(err.starts_with("checkpoint manifest mismatch"), "{err}");
         let mut seen = Vec::new();
-        for line in lines {
+        for line in fixture.lines().skip(1) {
             let (key, point) = point_from_line(line).unwrap();
             assert_eq!(point_to_line(&key, &point), line);
             seen.extend(point.outcomes);
@@ -780,6 +789,40 @@ mod tests {
         let resumed = run_robustness(mobility, &cfg, Some(&ckpt), true, &log, None).unwrap();
         let key = &grid_point_jobs(mobility, &cfg).unwrap()[0].key;
         assert_eq!(resumed.violations, vec![format!("{key} rep 0: injected")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn buffer_tx_time_and_audit_mismatches_are_rejected_on_resume() {
+        let base = SweepConfig {
+            loads: vec![5],
+            replications: 1,
+            ..SweepConfig::default()
+        };
+        let mobility = Mobility::Interval(2000);
+        let dir =
+            std::env::temp_dir().join(format!("robustness_ckpt_settings_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("grid.ckpt");
+        std::fs::write(&ckpt, manifest_line(mobility, &base) + "\n").unwrap();
+        assert!(load_checkpoint(&ckpt, mobility, &base).unwrap().is_empty());
+        for other in [
+            SweepConfig {
+                buffer_capacity: 2,
+                ..base.clone()
+            },
+            SweepConfig {
+                tx_time_secs: Some(50),
+                ..base.clone()
+            },
+            SweepConfig {
+                audit: true,
+                ..base.clone()
+            },
+        ] {
+            let err = load_checkpoint(&ckpt, mobility, &other).expect_err("settings differ");
+            assert!(err.starts_with("checkpoint manifest mismatch"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
